@@ -1,15 +1,16 @@
 """Command-line front end: estimate, simulate, table, figure.
 
-Exit codes: 0 success, 2 unreadable input or invalid configuration,
-3 non-positive observation in an input file, 4 degenerate window or
-failed estimation.  Diagnostics go to stderr; data goes to stdout or to
-files under --out.
+Exit codes: 0 success, 2 unreadable input (including a non-numeric or
+non-finite value) or invalid configuration, 3 non-positive observation in
+an input file, 4 degenerate window or failed estimation.  Diagnostics go to
+stderr; data goes to stdout or to files under --out.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -58,11 +59,19 @@ def _fmt(x: float) -> str:
     return "%.4g" % x
 
 
+def _rejected_value(path: str, lineno: int, text: str, value: float) -> _CliError:
+    """Error for a parsed value outside (0, inf): exit 3 if non-positive, else 2."""
+    if value <= 0.0:
+        return _CliError(3, "%s:%d: non-positive value %r" % (path, lineno, text))
+    return _CliError(2, "%s:%d: not a finite number: %r" % (path, lineno, text))
+
+
 def _read_values(path: str, column: str | None) -> list[float]:
     """Read one observation per line, or a named CSV column.
 
     Lines starting with '#' and blank lines are skipped in plain mode.
-    Non-positive values abort with exit code 3 and the offending line.
+    Non-numeric and non-finite values abort with exit code 2, non-positive
+    values with exit code 3, each naming the offending line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -76,8 +85,8 @@ def _read_values(path: str, column: str | None) -> list[float]:
                         value = float(text)
                     except ValueError:
                         raise _CliError(2, "%s:%d: not a number: %r" % (path, lineno, text))
-                    if value <= 0.0:
-                        raise _CliError(3, "%s:%d: non-positive value %r" % (path, lineno, text))
+                    if not 0.0 < value < math.inf:
+                        raise _rejected_value(path, lineno, text, value)
                     values.append(value)
             else:
                 reader = csv.DictReader(fh)
@@ -92,8 +101,8 @@ def _read_values(path: str, column: str | None) -> list[float]:
                         value = float(text)
                     except ValueError:
                         raise _CliError(2, "%s:%d: not a number: %r" % (path, reader.line_num, text))
-                    if value <= 0.0:
-                        raise _CliError(3, "%s:%d: non-positive value %r" % (path, reader.line_num, text))
+                    if not 0.0 < value < math.inf:
+                        raise _rejected_value(path, reader.line_num, text, value)
                     values.append(value)
     except OSError as exc:
         raise _CliError(2, "cannot read %s: %s" % (path, exc))

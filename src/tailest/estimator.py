@@ -6,9 +6,11 @@ extends to infinity.  When the observations are confined to a finite interval
 [L, R] (external cuts, saturated detectors, administrative limits) that
 assumption breaks down and the Hill estimate can be badly biased.  This
 module provides both the classical estimator and a bounded-domain estimator
-that solves the exact mean-log identity for a truncated power law, either by
-direct root finding or by the multiplicative fixed-point iteration seeded
-with the Hill value.
+that solves the exact mean-log identity for a truncated power law.  Both
+bounded-domain solvers take Newton steps on one dimensionless kernel of
+delta = alpha * ln(R/L): the direct solver safeguards them with a bracket,
+and the iterative solver is the paper's multiplicative update seeded with
+the Hill value, which is the same Newton step taken unguarded.
 
 Conventions: samples are held in descending order (X_1 is the largest value),
 mu = alpha + 1, and a window (l, r) selects X_r >= ... >= X_l with 1-based
@@ -36,7 +38,6 @@ __all__ = [
     "EstimateResult",
     "HillPlotSeries",
     "mean_log",
-    "mean_log_simpson",
     "hill_estimate",
     "correction",
     "correction_derivative",
@@ -137,12 +138,22 @@ def _check_window(sample: OrderedSample, window: TailWindow) -> None:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs shared by the direct and iterative solvers."""
+    """Numerical knobs shared by the direct and iterative solvers.
 
+    Both solvers work in delta = alpha * ln(R/L) and measure residuals of the
+    mean-log equation in units of ln(R/L), so every knob is scale-free: the
+    same settings serve a domain [3, 3.000001] and a domain [1e-300, 1e300].
+    """
+
+    # a Newton step in delta below this, relative to max(1, |delta|), ends the solve
     alpha_tolerance: float = 1e-10
+    # converged also needs |G(alpha) - mean_log| / ln(R/L) at most this, at the
+    # iterate the final step was taken from
     residual_tolerance: float = 1e-10
+    # Newton steps (iterative); Newton or bisection steps (direct)
     max_iterations: int = 100
-    bracket_limit: float = 1e4  # |alpha| cap for the bracketing search
+    # the direct solver looks for the root only within |alpha * ln(R/L)| <= this
+    bracket_limit: float = 1e4
 
     def __post_init__(self):
         if self.alpha_tolerance <= 0 or self.residual_tolerance <= 0:
@@ -197,21 +208,6 @@ def mean_log(sample: OrderedSample, window: TailWindow) -> float:
     return float(np.mean(sample.log_values[window.r - 1:window.l]))
 
 
-def mean_log_simpson(sample: OrderedSample, window: TailWindow) -> float:
-    """Trapezoid-weighted average of ln(X_j): end points carry half weight.
-
-    Requires at least three points.  The difference from :func:`mean_log`
-    is bounded by (ln X_r - ln X_l) / (2 (k - 1)) and is negligible for
-    windows of realistic size.
-    """
-    _check_window(sample, window)
-    k = window.k
-    if k < 3:
-        raise WindowError("trapezoid-weighted mean needs k >= 3, got k=%d" % k)
-    logs = sample.log_values[window.r - 1:window.l]
-    return float((0.5 * (logs[0] + logs[-1]) + np.sum(logs[1:-1])) / (k - 1))
-
-
 # --------------------------------------------------------------------------
 # Classical Hill estimator
 
@@ -244,59 +240,70 @@ def hill_estimate(sample: OrderedSample, k: int) -> EstimateResult:
 # --------------------------------------------------------------------------
 # Bounded-domain correction math
 #
-# All three functions below are evaluated through delta = alpha * ln(R / L).
-# The textbook ratio forms overflow once |alpha| * ln(R/L) is large and lose
-# every digit near alpha = 0; the expm1 rewrites are algebraically identical
-# and stay accurate over the whole real line.
+# Everything is a function of delta = alpha * ln(R / L).  With span = ln R -
+# ln L, the theoretical mean log is G = ln L + span * g(delta) where
+#
+#     g(delta) = 1/delta - 1/expm1(delta),
+#
+# which falls strictly from 1 at -inf to 0 at +inf, with g(0) = 1/2 and
+# g(-delta) = 1 - g(delta).  Its slope is g' = q - 1/delta^2 with the even,
+# positive q = e^|delta| / expm1(|delta|)^2, and the correction derivative is
+# D = span^2 * q.  Written in e^-|delta| these forms can only underflow, never
+# overflow; near delta = 0 the cancellation in 1/delta - 1/expm1(delta) is
+# replaced by its Bernoulli series.
 
-_SERIES_DELTA = 1e-6  # below this |delta| the Taylor forms are exact to 1 ulp
+# At this |delta| either form gives g to < 1e-15 and q to 1 ulp; the series
+# slope, which only sizes Newton steps, is off by < 1e-13.
+_SERIES_DELTA = 0.05
 
 
-def _log_bounds(low: float, high: float) -> tuple[float, float]:
-    if low <= 0.0 or high <= 0.0 or low == high:
+def _kernel(delta: float) -> tuple[float, float, float]:
+    """Return g(delta), its slope g'(delta) and q(delta) = g' + 1/delta^2."""
+    d2 = delta * delta
+    if abs(delta) < _SERIES_DELTA:
+        g = 0.5 - delta * (1.0 / 12.0 - d2 * (1.0 / 720.0 - d2 / 30240.0))
+        slope = -1.0 / 12.0 + d2 * (1.0 / 240.0 - d2 / 6048.0)
+        return g, slope, (1.0 / d2 + slope) if d2 else math.inf
+    t = abs(delta)
+    e = math.exp(-t)  # 0.0 beyond t ~ 745, where g = 1/delta (+1 if delta < 0)
+    em = -math.expm1(-t)  # 1 - e^-t, in (0, 1]
+    q = e / (em * em)
+    h = 1.0 / t - e / em  # g(|delta|)
+    return (h if delta > 0.0 else 1.0 - h), q - 1.0 / d2, q
+
+
+def _bounded_kernel(alpha: float, L: float, R: float):
+    """ln L, ln(R/L) and the kernel at alpha * ln(R/L), for bounds in any order."""
+    if L <= 0.0 or R <= 0.0 or L == R:
         raise DegenerateBoundsError(
-            "bounds must be positive and distinct, got L=%r R=%r" % (low, high))
-    return math.log(low), math.log(high)
+            "bounds must be positive and distinct, got L=%r R=%r" % (L, R))
+    ln_l = math.log(L)
+    span = math.log(R) - ln_l
+    return ln_l, span, _kernel(alpha * span)
 
 
 def correction(alpha: float, L: float, R: float) -> float:
     """Finite-domain correction C(alpha, L, R).
 
-    C = (ln L * L^-alpha - ln R * R^-alpha) / (L^-alpha - R^-alpha),
-    computed as ln L - (ln R - ln L) / expm1(delta).  Symmetric under
-    exchanging L and R; diverges like -1/alpha at alpha = 0.
+    C = (ln L * L^-alpha - ln R * R^-alpha) / (L^-alpha - R^-alpha)
+      = G(alpha) - 1/alpha.  Symmetric under exchanging L and R; diverges
+    like -1/alpha at alpha = 0.
     """
-    ln_l, ln_r = _log_bounds(L, R)
+    ln_l, span, (g, _, _) = _bounded_kernel(alpha, L, R)
     if alpha == 0.0:
         raise SingularityError("correction has a pole at alpha = 0")
-    span = ln_r - ln_l
-    delta = alpha * span
-    if abs(delta) < _SERIES_DELTA:
-        # three-term Bernoulli series of delta / expm1(delta)
-        return ln_l - 1.0 / alpha + span / 2.0 - delta * span / 12.0
-    if delta > 700.0:  # expm1 overflows; the term is below 1e-300 anyway
-        return ln_l - span * math.exp(-delta)
-    return ln_l - span / math.expm1(delta)
+    return ln_l + span * g - 1.0 / alpha
 
 
 def correction_derivative(alpha: float, L: float, R: float) -> float:
     """Derivative of :func:`correction` with respect to alpha.
 
     D = R^alpha L^alpha (ln L - ln R)^2 / (L^alpha - R^alpha)^2, an even
-    function of delta, computed as span^2 * e^t / expm1(t)^2 with t = |delta|.
-    D is strictly positive and diverges like 1/alpha^2 at alpha = 0.
+    function of delta, computed as span^2 * q(delta).  D is strictly
+    positive and diverges like 1/alpha^2 at alpha = 0.
     """
-    ln_l, ln_r = _log_bounds(L, R)
-    span = ln_r - ln_l
-    t = abs(alpha * span)
-    if t < _SERIES_DELTA:
-        if alpha == 0.0:
-            return math.inf
-        return 1.0 / (alpha * alpha) - span * span / 12.0 + t * t * span * span / 240.0
-    if t > 350.0:  # expm1(t)^2 would overflow; D ~ span^2 e^-t there
-        return span * span * math.exp(-t)
-    em = math.expm1(t)
-    return span * span * (em + 1.0) / (em * em)
+    _, span, (_, _, q) = _bounded_kernel(alpha, L, R)
+    return span * span * q
 
 
 def gfun(alpha: float, L: float, R: float) -> float:
@@ -308,101 +315,74 @@ def gfun(alpha: float, L: float, R: float) -> float:
     """
     if not (0.0 < L < R):
         raise DegenerateBoundsError("need 0 < L < R, got L=%r R=%r" % (L, R))
-    ln_l = math.log(L)
-    ln_r = math.log(R)
-    span = ln_r - ln_l
-    delta = alpha * span
-    if abs(delta) < _SERIES_DELTA:
-        # 1/alpha cancels against the pole of C; series of the remainder
-        return 0.5 * (ln_l + ln_r) - delta * span / 12.0 + delta ** 3 * span / 720.0
-    return 1.0 / alpha + correction(alpha, L, R)
-
-
-def _iteration_denominator(delta: float) -> float:
-    """alpha^2 * D(alpha, L, R) - 1 expressed in delta; lies in (-1, 0]."""
-    t = abs(delta)
-    if t < 0.01:  # below this the -1 cancellation costs digits; series instead
-        d2 = delta * delta
-        return -d2 / 12.0 * (1.0 - d2 / 20.0)
-    if t > 350.0:
-        return -1.0
-    em = math.expm1(t)
-    return t * t * (em + 1.0) / (em * em) - 1.0
+    ln_l, span, (g, _, _) = _bounded_kernel(alpha, L, R)
+    return ln_l + span * g
 
 
 # --------------------------------------------------------------------------
 # Solvers
+#
+# Both solvers solve g(delta) = y with y = (mean_log - ln L) / ln(R/L) in
+# (0, 1), i.e. G(alpha) = mean_log, by Newton steps in delta.
+
+
+def _newton_step(delta: float, y: float, config: SolverConfig):
+    """One Newton step on g(delta) = y: (next delta, residual at delta, done)."""
+    g, slope, _ = _kernel(delta)
+    residual = g - y
+    # the slope only underflows to 0 for |delta| > 1e154; the step is lost there
+    step = residual / slope if slope else math.inf
+    done = abs(step) <= config.alpha_tolerance * max(1.0, abs(delta))
+    return delta - step, residual, done
 
 
 def solve_direct(mean_log: float, L: float, R: float,
                  config: SolverConfig = DEFAULT_CONFIG) -> EstimateResult:
-    """Solve G(alpha) = mean_log for alpha by safeguarded bracketing.
+    """Solve G(alpha) = mean_log for alpha by safeguarded Newton steps in delta.
 
     G is strictly decreasing, so any mean_log strictly inside
-    (ln L, ln R) has exactly one root.  The bracket starts at [-1, 1] and
-    grows geometrically up to ``config.bracket_limit``; refinement
-    alternates secant and bisection steps until the bracket is narrower
-    than ``config.alpha_tolerance``.
+    (ln L, ln R) has exactly one root.  Newton starts from the two-sided
+    asymptotic seed delta = 1/y - 1/(1 - y) and keeps a bracket on the root,
+    initially |delta| <= ``config.bracket_limit``; a step leaving the
+    bracket becomes a bisection.
     """
     if not (0.0 < L < R):
         raise DegenerateBoundsError("need 0 < L < R, got L=%r R=%r" % (L, R))
     ln_l = math.log(L)
     ln_r = math.log(R)
-    if not (ln_l < mean_log < ln_r):
+    span = ln_r - ln_l
+    y = (mean_log - ln_l) / span
+    if not (0.0 < y < 1.0):
         raise DegenerateSampleError(
             "mean log %r outside (ln L, ln R) = (%r, %r)" % (mean_log, ln_l, ln_r))
+    # g(-d) = 1 - g(d), so the root lies in the bracket iff min(y, 1-y) >= g(limit)
+    lo, hi = -config.bracket_limit, config.bracket_limit
+    if min(y, 1.0 - y) < _kernel(hi)[0]:
+        raise SolverFailureError(
+            "no root within |alpha * ln(R/L)| <= %g" % config.bracket_limit)
 
-    def f(a: float) -> float:
-        return gfun(a, L, R) - mean_log
-
-    # Grow the bracket until f(lo) >= 0 >= f(hi) (f inherits G's monotonicity).
-    lo, hi = -1.0, 1.0
-    flo, fhi = f(lo), f(hi)
-    while flo < 0.0:
-        if lo <= -config.bracket_limit:
-            raise SolverFailureError(
-                "no bracket within |alpha| <= %g" % config.bracket_limit)
-        lo = max(lo * 2.0, -config.bracket_limit)
-        flo = f(lo)
-    while fhi > 0.0:
-        if hi >= config.bracket_limit:
-            raise SolverFailureError(
-                "no bracket within |alpha| <= %g" % config.bracket_limit)
-        hi = min(hi * 2.0, config.bracket_limit)
-        fhi = f(hi)
-
-    best_x, best_f = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
-    use_secant = True
-    for _ in range(200):
-        if hi - lo <= config.alpha_tolerance or best_f == 0.0:
-            break
-        x = None
-        if use_secant and fhi != flo:
-            x = hi - fhi * (hi - lo) / (fhi - flo)
-            # reject secant points hugging an endpoint; bisection cleans up
-            margin = 0.01 * (hi - lo)
-            if not (lo + margin < x < hi - margin):
-                x = None
-        if x is None:
-            x = 0.5 * (lo + hi)
-        use_secant = not use_secant
-        fx = f(x)
-        if abs(fx) < abs(best_f):
-            best_x, best_f = x, fx
-        if fx > 0.0:
-            lo, flo = x, fx
-        elif fx < 0.0:
-            hi, fhi = x, fx
+    delta = 1.0 / y - 1.0 / (1.0 - y)
+    converged = False
+    for _ in range(config.max_iterations):
+        if not lo < delta < hi:
+            delta = 0.5 * (lo + hi)
+        nxt, residual, done = _newton_step(delta, y, config)
+        if residual > 0.0:
+            lo = delta
         else:
+            hi = delta
+        delta = nxt
+        if done:
+            converged = abs(residual) <= config.residual_tolerance
             break
 
-    alpha = best_x
+    alpha = delta / span
     return EstimateResult(
         alpha=alpha,
         mu=alpha + 1.0,
         method="improved-direct",
         iterations=0,
-        converged=abs(best_f) <= config.residual_tolerance,
+        converged=converged,
         window_low=L,
         window_high=R,
         k=0,
@@ -435,10 +415,13 @@ def solve_iterative(sample: OrderedSample, window: TailWindow,
 
         alpha' = alpha * (1 + (alpha * (m - C) - 1) / (alpha^2 * D - 1))
 
-    until successive iterates differ by less than ``config.alpha_tolerance``
-    or ``config.max_iterations`` updates have been taken.  Fixed points
-    coincide with the roots of G(alpha) = m.  Non-convergence is reported
-    via ``converged=False``, not an exception, so callers can fall back to
+    which is exactly Newton's method on G(alpha) = m, since G' = D - 1/alpha^2.
+    The steps are taken unguarded in delta = alpha * ln(R/L) (Newton is
+    unchanged by that rescaling), so the table's mu_iter5 is the Hill seed
+    followed by four Newton steps.  Iteration stops once a step in delta is
+    below ``config.alpha_tolerance`` relative to max(1, |delta|), or after
+    ``config.max_iterations`` steps.  Non-convergence is reported via
+    ``converged=False``, not an exception, so callers can fall back to
     :func:`solve_direct`.
     """
     _check_window(sample, window)
@@ -452,26 +435,17 @@ def solve_iterative(sample: OrderedSample, window: TailWindow,
     if m == ln_low:
         raise DegenerateSampleError("mean log equals ln X_l; Hill seed undefined")
 
-    alpha = 1.0 / (m - ln_low)  # Hill seed
-    iterations = 0
+    y = (m - ln_low) / span
+    delta = 1.0 / y  # Hill seed
     converged = False
-    for _ in range(config.max_iterations):
-        denom = _iteration_denominator(alpha * span)
-        if denom == 0.0:
-            raise SolverFailureError(
-                "iteration denominator alpha^2 D - 1 vanished at alpha=%r" % alpha)
-        numer = alpha * (m - correction(alpha, low, high)) - 1.0
-        alpha_next = alpha * (1.0 + numer / denom)
-        iterations += 1
-        if not math.isfinite(alpha_next):
+    for iterations in range(1, config.max_iterations + 1):
+        delta, residual, done = _newton_step(delta, y, config)
+        if not math.isfinite(delta):
             raise SolverFailureError("iteration diverged at step %d" % iterations)
-        step = abs(alpha_next - alpha)
-        alpha = alpha_next
-        if step < config.alpha_tolerance:
-            converged = True
+        if done:
+            converged = abs(residual) <= config.residual_tolerance
             break
-    if converged and abs(gfun(alpha, low, high) - m) > config.residual_tolerance:
-        converged = False
+    alpha = delta / span
     return EstimateResult(
         alpha=alpha,
         mu=alpha + 1.0,

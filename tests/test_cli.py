@@ -48,10 +48,20 @@ class TestEstimate:
     def test_missing_file_exits_2(self, tmp_path):
         assert _run(["estimate", str(tmp_path / "nope.txt")]) == 2
 
-    def test_garbage_line_exits_2(self, tmp_path):
+    def test_garbage_line_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("1.5\nbanana\n")
         assert _run(["estimate", str(path)]) == 2
+        # non-finite values pass float() but are rejected with their line,
+        # in plain and in CSV column input
+        csv_path = tmp_path / "bad.csv"
+        for text in ("nan", "inf", "1e400"):
+            path.write_text("1.5\n%s\n2.5\n" % text)
+            assert _run(["estimate", str(path)]) == 2
+            assert "%s:2: not a finite number" % path in capsys.readouterr().err
+            csv_path.write_text("name,value\na,1.5\nb,%s\nc,2.5\n" % text)
+            assert _run(["estimate", str(csv_path), "--column", "value"]) == 2
+            assert "%s:3: not a finite number" % csv_path in capsys.readouterr().err
 
     def test_csv_column(self, tmp_path, capsys):
         path = tmp_path / "data.csv"

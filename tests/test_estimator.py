@@ -21,12 +21,17 @@ from tailest.estimator import (
     hill_plot_series,
     improved_estimate,
     mean_log,
-    mean_log_simpson,
     solve_direct,
     solve_iterative,
 )
 
 E = math.e
+
+
+def _log_uniform(n, seed):
+    # density 1/x (mu = 1) over [1e-300, 1e300], a domain 600 decades wide
+    rng = np.random.default_rng(seed)
+    return OrderedSample(np.exp(rng.uniform(math.log(1e-300), math.log(1e300), size=n)))
 
 
 class TestOrderedSample:
@@ -108,32 +113,6 @@ class TestMeanLog:
         s = OrderedSample([2.0, 1.0])
         with pytest.raises(WindowError):
             mean_log(s, TailWindow(l=3, r=1))
-
-
-class TestMeanLogSimpson:
-    def test_symmetric_exponents(self):
-        s = OrderedSample([E ** 2, E, 1.0])
-        assert mean_log_simpson(s, TailWindow(l=3, r=1)) == pytest.approx(1.0)
-
-    def test_constant_sample(self):
-        c = 3.25
-        s = OrderedSample([c] * 5)
-        assert mean_log_simpson(s, full_window(s)) == pytest.approx(math.log(c))
-
-    def test_needs_three_points(self):
-        s = OrderedSample([2.0, 1.0])
-        with pytest.raises(WindowError):
-            mean_log_simpson(s, TailWindow(l=2, r=1))
-
-    def test_close_to_plain_mean(self):
-        # end-point reweighting shifts the mean by at most spread / (2 (k-1))
-        rng = np.random.default_rng(11)
-        s = OrderedSample(rng.uniform(1.0, 100.0, size=100))
-        w = full_window(s)
-        plain = mean_log(s, w)
-        trap = mean_log_simpson(s, w)
-        spread = float(s.log_values[0] - s.log_values[-1])
-        assert abs(trap - plain) <= spread / (2 * (w.k - 1)) + 1e-12
 
 
 class TestHillEstimate:
@@ -328,6 +307,19 @@ class TestSolveDirect:
         res = solve_direct(m, low, high)
         assert abs(gfun(res.alpha, low, high) - m) <= 1e-10
 
+    def test_wide_domain_converges(self):
+        # residuals are judged in units of ln(R/L), so a domain of width
+        # ln(R/L) ~ 1380 converges as readily as a unit one
+        for n in (100, 1000, 10000):
+            for seed in range(1, 41):
+                s = _log_uniform(n, seed)
+                w = full_window(s)
+                direct = improved_estimate(s, w)
+                iterative = solve_iterative(s, w)
+                assert direct.converged and iterative.converged, (n, seed)
+                assert abs(direct.mu - 1.0) < 0.5
+                assert iterative.alpha == pytest.approx(direct.alpha, abs=1e-9)
+
 
 class TestSolveIterative:
     def _power_sample(self, mu=5.0, n=400, seed=2, low=3.0, high=150.0):
@@ -355,12 +347,15 @@ class TestSolveIterative:
         assert res.iterations > 0
 
     def test_agrees_with_direct_on_sample(self):
-        s = self._power_sample()
-        w = full_window(s)
-        res_it = solve_iterative(s, w)
-        res_dir = improved_estimate(s, w)
-        assert res_it.converged
-        assert abs(res_it.alpha - res_dir.alpha) < 1e-6
+        # the second sample lies on [3, 3.000001]: its root has alpha ~ 2.5e5
+        # but delta = alpha * ln(R/L) ~ 0.08, so steps in delta converge
+        for s in (self._power_sample(),
+                  self._power_sample(n=1000, seed=7, high=3.000001)):
+            w = full_window(s)
+            res_it = solve_iterative(s, w)
+            res_dir = improved_estimate(s, w)
+            assert res_it.converged and res_dir.converged
+            assert abs(res_it.alpha - res_dir.alpha) < 1e-6
 
     def test_fifth_iterate_already_close(self):
         # four updates from the Hill seed land within a few percent
@@ -469,6 +464,10 @@ class TestHillPlotSeries:
             hill_plot_series(s, r=0)
         with pytest.raises(WindowError):
             hill_plot_series(s, r=10)
+
+    def test_wide_domain_has_no_blank_entries(self):
+        series = hill_plot_series(_log_uniform(400, 1), r=1)
+        assert all(v is not None for v in series.mu_improved)
 
     def test_degenerate_entries_absent(self):
         # leading ties make the first windows degenerate, not fatal

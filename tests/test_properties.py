@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailest.estimator import (
     OrderedSample,
     SolverConfig,
     TailWindow,
+    _kernel,
     correction,
     correction_derivative,
     full_window,
@@ -201,3 +204,60 @@ def test_solver_always_finds_interior_root():
         m = math.log(low) + frac * span
         res = solve_direct(m, low, high, SolverConfig(bracket_limit=1e6))
         assert abs(gfun(res.alpha, low, high) - m) < 1e-9
+
+
+# --------------------------------------------------------------------------
+# Properties of the delta-space kernel over |delta| <= 1e4.  Examples are
+# derandomized so every run checks the same inputs.
+
+KERNEL_SETTINGS = settings(max_examples=400, derandomize=True, deadline=None)
+deltas = st.floats(min_value=-1e4, max_value=1e4)
+
+
+@KERNEL_SETTINGS
+@given(deltas)
+def test_kernel_g_in_unit_interval_with_negative_slope(delta):
+    g, slope, _ = _kernel(delta)
+    assert 0.0 < g < 1.0
+    assert math.isfinite(slope) and slope < 0.0
+
+
+@KERNEL_SETTINGS
+@given(deltas, st.floats(min_value=1e-6, max_value=1.0))
+def test_kernel_g_strictly_decreasing(d1, gap):
+    # pairs closer than this relative gap differ by less than g's rounding
+    d2 = d1 + gap * max(1.0, abs(d1))
+    assert _kernel(d1)[0] > _kernel(d2)[0]
+
+
+@KERNEL_SETTINGS
+@given(deltas)
+@example(0.0499)
+@example(-0.0501)
+@example(1e-7)
+def test_kernel_matches_raw_forms(delta):
+    t = abs(delta)
+    g, slope, q = _kernel(delta)
+    # q ~ e^-|delta| underflows to 0 past |delta| ~ 745; it is never negative
+    assert q > 0.0 if t < 700.0 else q >= 0.0
+    if 1e-150 < t < 350.0:  # where the raw forms are finite in floats
+        raw_q = math.exp(t) / math.expm1(t) ** 2
+        assert q == pytest.approx(raw_q, rel=1e-13)
+        # the raw g and slope cancel to a few ulp of 1/|delta| and 1/delta^2
+        assert g == pytest.approx(1.0 / delta - 1.0 / math.expm1(delta),
+                                  abs=1e-15 * (1.0 + 1.0 / t))
+        assert slope == pytest.approx(raw_q - 1.0 / t ** 2, abs=1e-15 * (1.0 + 1.0 / t ** 2))
+
+
+@KERNEL_SETTINGS
+@given(deltas.filter(lambda d: abs(d) > 1e-9), st.floats(min_value=-20.0, max_value=20.0),
+       st.floats(min_value=1e-3, max_value=50.0), st.floats(min_value=-20.0, max_value=20.0))
+def test_correction_bound_exchange_and_scaling(delta, ln_low, span, ln_c):
+    low, high = math.exp(ln_low), math.exp(ln_low + span)
+    alpha = delta / span
+    c = math.exp(ln_c)
+    base = correction(alpha, low, high)
+    # rounding of the logs and of 1/alpha sets the achievable accuracy
+    tol = 1e-12 * (1.0 + abs(ln_low) + abs(ln_low + span) + abs(ln_c) + 1.0 / abs(alpha))
+    assert correction(alpha, high, low) == pytest.approx(base, abs=tol)
+    assert correction(alpha, c * low, c * high) == pytest.approx(base + ln_c, abs=tol)
