@@ -15,7 +15,6 @@ import os
 import sys
 
 from .estimator import (
-    DEFAULT_CONFIG,
     EstimationError,
     OrderedSample,
     TailWindow,
@@ -27,15 +26,16 @@ from .estimator import (
 )
 from .experiments import (
     FIGURE_EXAMPLES,
-    TABLE_ROWS,
+    TableRowError,
     figure_csv,
     run_figure,
-    run_table_row,
+    run_full_table,
     summarize_table,
     summary_csv,
     table_csv,
 )
 from .sampler import (
+    DENSITIES,
     DistributionSpec,
     DistributionSpecError,
     SampleRequest,
@@ -44,9 +44,6 @@ from .sampler import (
     tabulate,
 )
 from .svgplot import hill_plot_svg
-
-DIST_NAMES = ("power", "pade", "logx", "invlogx", "sqrtinv", "growth", "twopower")
-
 
 class _CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -59,51 +56,37 @@ def _fmt(x: float) -> str:
     return "%.4g" % x
 
 
-def _rejected_value(path: str, lineno: int, text: str, value: float) -> _CliError:
-    """Error for a parsed value outside (0, inf): exit 3 if non-positive, else 2."""
-    if value <= 0.0:
-        return _CliError(3, "%s:%d: non-positive value %r" % (path, lineno, text))
-    return _CliError(2, "%s:%d: not a finite number: %r" % (path, lineno, text))
-
-
 def _read_values(path: str, column: str | None) -> list[float]:
     """Read one observation per line, or a named CSV column.
 
-    Lines starting with '#' and blank lines are skipped in plain mode.
-    Non-numeric and non-finite values abort with exit code 2, non-positive
-    values with exit code 3, each naming the offending line.
+    Lines starting with '#' and blank lines are skipped in plain mode, empty
+    cells in column mode.  Non-numeric and non-finite values abort with exit
+    code 2, non-positive values with exit code 3, each naming the offending
+    line.
     """
+    values = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if column is None:
-                values = []
-                for lineno, raw in enumerate(fh, start=1):
-                    text = raw.strip()
-                    if not text or text.startswith("#"):
-                        continue
-                    try:
-                        value = float(text)
-                    except ValueError:
-                        raise _CliError(2, "%s:%d: not a number: %r" % (path, lineno, text))
-                    if not 0.0 < value < math.inf:
-                        raise _rejected_value(path, lineno, text, value)
-                    values.append(value)
+                cells = enumerate(fh, start=1)
             else:
                 reader = csv.DictReader(fh)
                 if reader.fieldnames is None or column not in reader.fieldnames:
                     raise _CliError(2, "%s: no column named %r" % (path, column))
-                values = []
-                for record in reader:
-                    text = (record[column] or "").strip()
-                    if not text:
-                        continue
-                    try:
-                        value = float(text)
-                    except ValueError:
-                        raise _CliError(2, "%s:%d: not a number: %r" % (path, reader.line_num, text))
-                    if not 0.0 < value < math.inf:
-                        raise _rejected_value(path, reader.line_num, text, value)
-                    values.append(value)
+                cells = ((reader.line_num, record[column] or "") for record in reader)
+            for lineno, text in cells:
+                text = text.strip()
+                if not text or (column is None and text.startswith("#")):
+                    continue
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise _CliError(2, "%s:%d: not a number: %r" % (path, lineno, text))
+                if not 0.0 < value < math.inf:
+                    if value <= 0.0:
+                        raise _CliError(3, "%s:%d: non-positive value %r" % (path, lineno, text))
+                    raise _CliError(2, "%s:%d: not a finite number: %r" % (path, lineno, text))
+                values.append(value)
     except OSError as exc:
         raise _CliError(2, "cannot read %s: %s" % (path, exc))
     if len(values) < 2:
@@ -118,7 +101,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part[1:]:  # allow a leading minus, reject it below anyway
+        if "-" in part[1:]:  # a leading minus is a sign; callers reject negatives
             lo_text, hi_text = part.split("-", 1)
             try:
                 lo, hi = int(lo_text), int(hi_text)
@@ -135,6 +118,13 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     if not out:
         raise _CliError(2, "empty %s list %r" % (what, text))
     return sorted(out)
+
+
+def _at_least(value: int, low: int, flag: str) -> int:
+    """Return value, or exit 2 naming the flag if it is below low."""
+    if value < low:
+        raise _CliError(2, "%s must be >= %d, got %d" % (flag, low, value))
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -154,15 +144,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     n = len(sample)
     l = args.l if args.l is not None else n
     r = args.r if args.r is not None else 1
-    try:
-        window = TailWindow(l=l, r=r)
-        if window.l > n:
-            raise WindowError("window l=%d exceeds sample size %d" % (window.l, n))
-        hill = hill_estimate(sample, window.l)
-        direct = improved_estimate(sample, window)
-        iterative = solve_iterative(sample, window)
-    except EstimationError as exc:
-        raise _CliError(4, str(exc))
+    window = TailWindow(l=l, r=r)
+    if window.l > n:
+        raise WindowError("window l=%d exceeds sample size %d" % (window.l, n))
+    hill = hill_estimate(sample, window.l)
+    direct = improved_estimate(sample, window)
+    iterative = solve_iterative(sample, window)
 
     print("n %d  window l=%d r=%d (k=%d)" % (n, window.l, window.r, window.k))
     print("bounds L=%s R=%s" % (_fmt(direct.window_low), _fmt(direct.window_high)))
@@ -186,39 +173,21 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _spec_from_args(args: argparse.Namespace) -> DistributionSpec:
-    def need(flag: str):
-        value = getattr(args, flag)
+    kind = next(k for k, d in DENSITIES.items() if d.cli_name == args.dist)
+    params = []
+    for name in DENSITIES[kind].params:
+        value = getattr(args, name)
         if value is None:
-            raise _CliError(2, "--dist %s requires --%s" % (args.dist, flag))
-        return value
-
-    kw = {"d_low": args.dlow, "d_high": args.dhigh, "grid_points": args.grid_points}
-    try:
-        if args.dist == "power":
-            return DistributionSpec.power(need("mu"), **kw)
-        if args.dist == "pade":
-            return DistributionSpec.pade14(need("p2"), need("p4"), **kw)
-        if args.dist == "logx":
-            return DistributionSpec.log_over_x(**kw)
-        if args.dist == "invlogx":
-            return DistributionSpec.inv_xlogx(**kw)
-        if args.dist == "sqrtinv":
-            return DistributionSpec.sqrt_inv(**kw)
-        if args.dist == "growth":
-            return DistributionSpec.power_growth(need("exponent"), **kw)
-        return DistributionSpec.two_power(
-            need("a1"), need("mu1"), need("a2"), need("mu2"), **kw)
-    except DistributionSpecError as exc:
-        raise _CliError(2, str(exc))
+            raise _CliError(2, "--dist %s requires --%s" % (args.dist, name))
+        params.append((name, value))
+    return DistributionSpec(kind, args.dlow, args.dhigh, args.grid_points, tuple(params))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    try:
-        dist = tabulate(spec)
-    except DistributionSpecError as exc:
-        raise _CliError(2, str(exc))
-    sample = draw(dist, SampleRequest(n=args.n, seed=args.seed))
+    dist = tabulate(_spec_from_args(args))
+    request = SampleRequest(n=_at_least(args.n, 2, "--n"),
+                            seed=_at_least(args.seed, 0, "--seed"))
+    sample = draw(dist, request)
     lines = "\n".join(str(v) for v in sample.values) + "\n"
     summary = "n %d  sigma %s  L %s  R %s" % (
         len(sample), _fmt(sigma_statistic(sample)),
@@ -241,11 +210,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     rows = _parse_int_list(args.rows, "row")
     seeds = _parse_int_list(args.seeds, "seed")
-    bad = [r for r in rows if r not in TABLE_ROWS]
-    if bad:
-        raise _CliError(2, "unknown table rows %s (valid: 1..13)" % bad)
+    _at_least(seeds[0], 0, "--seeds")  # seeds are sorted
+    results = run_full_table(seeds, rows)
     os.makedirs(args.out, exist_ok=True)
-    results = [run_table_row(row, seed) for row in rows for seed in seeds]
     path = os.path.join(args.out, "table.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(table_csv(results))
@@ -263,6 +230,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     bad = [e for e in examples if e not in FIGURE_EXAMPLES]
     if bad:
         raise _CliError(2, "unknown figure examples %s (valid: 14..17)" % bad)
+    _at_least(args.seed, 0, "--seed")
     os.makedirs(args.out, exist_ok=True)
     for example_id in examples:
         result = run_figure(example_id, args.seed)
@@ -297,15 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=cmd_estimate)
 
     p_sim = sub.add_parser("simulate", help="write seeded draws from a built-in density")
-    p_sim.add_argument("--dist", required=True, choices=DIST_NAMES)
-    p_sim.add_argument("--mu", type=float)
-    p_sim.add_argument("--p2", type=float)
-    p_sim.add_argument("--p4", type=float)
-    p_sim.add_argument("--exponent", type=float)
-    p_sim.add_argument("--a1", type=float)
-    p_sim.add_argument("--mu1", type=float)
-    p_sim.add_argument("--a2", type=float)
-    p_sim.add_argument("--mu2", type=float)
+    p_sim.add_argument("--dist", required=True,
+                       choices=[d.cli_name for d in DENSITIES.values()])
+    for name in dict.fromkeys(n for d in DENSITIES.values() for n in d.params):
+        p_sim.add_argument("--" + name, type=float)
     p_sim.add_argument("--dlow", type=float, required=True)
     p_sim.add_argument("--dhigh", type=float, required=True)
     p_sim.add_argument("--n", type=int, required=True)
@@ -336,7 +299,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print("error: %s" % exc.message, file=sys.stderr)
         return exc.code
-    except DistributionSpecError as exc:
+    except (DistributionSpecError, TableRowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except EstimationError as exc:

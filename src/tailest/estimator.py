@@ -390,6 +390,16 @@ def solve_direct(mean_log: float, L: float, R: float,
     )
 
 
+def _window_bounds(sample: OrderedSample, window: TailWindow) -> tuple[float, float, float]:
+    """X_l, X_r and the window's mean log; rejects a window of equal values."""
+    m = mean_log(sample, window)  # checks the window first
+    low = float(sample.values[window.l - 1])
+    high = float(sample.values[window.r - 1])
+    if low == high:
+        raise DegenerateSampleError("window values are all equal to %g" % low)
+    return low, high, m
+
+
 def improved_estimate(sample: OrderedSample, window: TailWindow,
                       config: SolverConfig = DEFAULT_CONFIG) -> EstimateResult:
     """Bounded-domain estimate over a window, solved directly.
@@ -397,12 +407,7 @@ def improved_estimate(sample: OrderedSample, window: TailWindow,
     Equates the window's empirical mean log to G(alpha) with L = X_l and
     R = X_r and returns the unique root; mu = alpha + 1.
     """
-    _check_window(sample, window)
-    low = float(sample.values[window.l - 1])
-    high = float(sample.values[window.r - 1])
-    if low == high:
-        raise DegenerateSampleError("window values are all equal to %g" % low)
-    m = mean_log(sample, window)
+    low, high, m = _window_bounds(sample, window)
     result = solve_direct(m, low, high, config)
     return replace(result, k=window.k)
 
@@ -424,12 +429,7 @@ def solve_iterative(sample: OrderedSample, window: TailWindow,
     ``converged=False``, not an exception, so callers can fall back to
     :func:`solve_direct`.
     """
-    _check_window(sample, window)
-    low = float(sample.values[window.l - 1])
-    high = float(sample.values[window.r - 1])
-    if low == high:
-        raise DegenerateSampleError("window values are all equal to %g" % low)
-    m = mean_log(sample, window)
+    low, high, m = _window_bounds(sample, window)
     ln_low = math.log(low)
     span = math.log(high) - ln_low
     if m == ln_low:

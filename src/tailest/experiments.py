@@ -16,6 +16,7 @@ known to mislead.
 from __future__ import annotations
 
 import statistics
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .estimator import (
@@ -36,6 +37,7 @@ __all__ = [
     "TableRowResult",
     "FigureSeriesResult",
     "RowSummary",
+    "TableRowError",
     "run_table_row",
     "run_figure",
     "run_full_table",
@@ -50,6 +52,10 @@ ITER5_CONFIG = SolverConfig(max_iterations=4)
 
 TABLE_CSV_HEADER = "row,seed,mu_input,sigma,L,R,mu_hill,mu_iter5,mu_direct"
 FIGURE_CSV_HEADER = "l,mu_hill,mu_improved"
+
+
+class TableRowError(ValueError):
+    """A table row id outside TABLE_ROWS was requested."""
 
 
 @dataclass(frozen=True)
@@ -171,21 +177,24 @@ def _run_row(entry: TableRowSpec, dist, seed: int) -> TableRowResult:
 
 def run_table_row(row_id: int, seed: int) -> TableRowResult:
     """Run one table scenario with the given seed."""
-    if row_id not in TABLE_ROWS:
-        raise ValueError("unknown table row %r (valid: 1..13)" % row_id)
-    entry = TABLE_ROWS[row_id]
-    return _run_row(entry, tabulate(entry.spec), seed)
+    return run_full_table([seed], [row_id])[0]
 
 
-def run_full_table(seeds: list[int]) -> list[TableRowResult]:
-    """Run all 13 rows for every seed; results ordered by (row_id, seed).
+def run_full_table(seeds: list[int],
+                   rows: Sequence[int] = tuple(TABLE_ROWS)) -> list[TableRowResult]:
+    """Run the given table rows (default all 13) for every seed.
 
-    Each row's grid is tabulated once and reused across seeds.
+    Results are ordered by row, then seed, each in the order given.  Each
+    row's grid is tabulated once and reused across its seeds.  Unknown row
+    ids raise TableRowError before any work is done.
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    bad = [row_id for row_id in rows if row_id not in TABLE_ROWS]
+    if bad:
+        raise TableRowError("unknown table rows %s (valid: 1..13)" % bad)
     results = []
-    for row_id in sorted(TABLE_ROWS):
+    for row_id in rows:
         entry = TABLE_ROWS[row_id]
         dist = tabulate(entry.spec)
         for seed in seeds:

@@ -13,12 +13,14 @@ triple yields bit-identical samples on every platform and release.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .estimator import OrderedSample, full_window, mean_log
 
 __all__ = [
+    "DENSITIES",
     "DistributionSpecError",
     "DistributionSpec",
     "GridDistribution",
@@ -28,19 +30,35 @@ __all__ = [
     "sigma_statistic",
 ]
 
-KINDS = (
-    "power",          # x^-mu
-    "pade14",         # 1 / (1 + p2 x^2 + p4 x^4)
-    "log_over_x",     # ln(x) / x
-    "inv_xlogx",      # 1 / (x ln x)
-    "sqrt_inv",       # 1 / sqrt(x)
-    "power_growth",   # x^exponent, increasing
-    "two_power",      # a1 x^-mu1 + a2 x^-mu2
-)
-
-
 class DistributionSpecError(ValueError):
     """The requested density cannot be tabulated as specified."""
+
+
+@dataclass(frozen=True)
+class Density:
+    """A built-in density shape: its CLI name, parameter names and pdf."""
+
+    cli_name: str
+    params: tuple[str, ...]
+    # (x, parameter values by name) -> unnormalized density on x
+    pdf: Callable[[np.ndarray, dict[str, float]], np.ndarray]
+
+
+# Every built-in density, by kind.  The CLI takes its --dist choices and its
+# parameter flags from here, in this order.
+DENSITIES: dict[str, Density] = {
+    "power": Density("power", ("mu",), lambda x, p: x ** -p["mu"]),
+    "pade14": Density(
+        "pade", ("p2", "p4"),
+        lambda x, p: 1.0 / (1.0 + p["p2"] * x ** 2 + p["p4"] * x ** 4)),
+    "log_over_x": Density("logx", (), lambda x, p: np.log(x) / x),
+    "inv_xlogx": Density("invlogx", (), lambda x, p: 1.0 / (np.log(x) * x)),
+    "sqrt_inv": Density("sqrtinv", (), lambda x, p: 1.0 / np.sqrt(x)),
+    "power_growth": Density("growth", ("exponent",), lambda x, p: x ** p["exponent"]),
+    "two_power": Density(
+        "twopower", ("a1", "mu1", "a2", "mu2"),
+        lambda x, p: p["a1"] * x ** -p["mu1"] + p["a2"] * x ** -p["mu2"]),
+}
 
 
 @dataclass(frozen=True)
@@ -48,7 +66,8 @@ class DistributionSpec:
     """A named density shape plus its domain and grid resolution.
 
     Normalization of the density is irrelevant; the CDF is rescaled to 1 at
-    d_high after accumulation.
+    d_high after accumulation.  ``params`` names exactly the parameters of
+    ``DENSITIES[kind]``, in the same order.
     """
 
     kind: str
@@ -58,8 +77,12 @@ class DistributionSpec:
     params: tuple[tuple[str, float], ...] = field(default=())
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in DENSITIES:
             raise DistributionSpecError("unknown distribution kind %r" % self.kind)
+        names = tuple(name for name, _ in self.params)
+        if names != DENSITIES[self.kind].params:
+            raise DistributionSpecError("%s takes parameters %s, got %s" % (
+                self.kind, DENSITIES[self.kind].params, names))
         if not (self.d_low < self.d_high):
             raise DistributionSpecError(
                 "need d_low < d_high, got [%r, %r]" % (self.d_low, self.d_high))
@@ -123,20 +146,7 @@ class DistributionSpec:
         """Unnormalized density on x (elementwise)."""
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.kind == "power":
-                return x ** -self.param("mu")
-            if self.kind == "pade14":
-                return 1.0 / (1.0 + self.param("p2") * x ** 2 + self.param("p4") * x ** 4)
-            if self.kind == "log_over_x":
-                return np.log(x) / x
-            if self.kind == "inv_xlogx":
-                return 1.0 / (np.log(x) * x)
-            if self.kind == "sqrt_inv":
-                return 1.0 / np.sqrt(x)
-            if self.kind == "power_growth":
-                return x ** self.param("exponent")
-            return (self.param("a1") * x ** -self.param("mu1")
-                    + self.param("a2") * x ** -self.param("mu2"))
+            return DENSITIES[self.kind].pdf(x, dict(self.params))
 
     def describe(self) -> str:
         inner = ", ".join("%s=%g" % kv for kv in self.params)
@@ -162,6 +172,8 @@ class SampleRequest:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need n >= 2 draws, got %d" % self.n)
+        if self.seed < 0:
+            raise ValueError("need seed >= 0, got %d" % self.seed)
 
 
 def tabulate(spec: DistributionSpec) -> GridDistribution:

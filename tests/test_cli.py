@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from tailest import cli
+from tailest import cli, experiments
+from tailest.sampler import DENSITIES, DistributionSpec, SampleRequest, draw, tabulate
 
 E = math.e
 
@@ -139,9 +140,32 @@ class TestSimulate:
                      "--n", "100", "--seed", "1"]) == 2
         assert "--p2" in capsys.readouterr().err
 
-    def test_invalid_domain_exits_2(self):
+    def test_invalid_domain_exits_2(self, capsys):
         assert _run(["simulate", "--dist", "power", "--mu", "5", "--dlow", "5",
                      "--dhigh", "3", "--n", "100", "--seed", "1"]) == 2
+        for flag, value in (("--seed", "-1"), ("--n", "1")):
+            argv = ["simulate", "--dist", "power", "--mu", "5", "--dlow", "3",
+                    "--dhigh", "4", "--n", "100", "--seed", "1"]
+            argv[argv.index(flag) + 1] = value
+            assert _run(argv) == 2
+            assert "error: %s must be >=" % flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", list(DENSITIES))
+    def test_every_density_matches_library_draws(self, kind, tmp_path):
+        density = DENSITIES[kind]
+        values = {"mu": 5.0, "p2": 494.7, "p4": 4886.0, "exponent": 3.5,
+                  "a1": 3.0, "mu1": 4.0, "a2": 1.0, "mu2": 2.5}
+        flags = [arg for name in density.params for arg in ("--" + name, str(values[name]))]
+        out = tmp_path / "s.txt"
+        assert _run(["simulate", "--dist", density.cli_name, *flags, "--dlow", "3",
+                     "--dhigh", "30", "--n", "300", "--seed", "11",
+                     "--out", str(out)]) == 0
+        # the factory classmethods are named after the kinds
+        spec = getattr(DistributionSpec, kind)(
+            *(values[name] for name in density.params), 3.0, 30.0)
+        sample = draw(tabulate(spec), SampleRequest(n=300, seed=11))
+        written = [float(line) for line in out.read_text().split()]
+        assert written == sample.values.tolist()
 
     def test_twopower_flags(self, tmp_path):
         out = tmp_path / "tp.txt"
@@ -167,9 +191,24 @@ class TestTable:
         summary = (tmp_path / "table_summary.csv").read_text().strip().split("\n")
         assert len(summary) == 1 + 2
 
-    def test_bad_row_filter_exits_2(self, tmp_path):
+    def test_bad_row_filter_exits_2(self, tmp_path, capsys):
         assert _run(["table", "--rows", "99", "--out", str(tmp_path)]) == 2
         assert _run(["table", "--rows", "x", "--out", str(tmp_path)]) == 2
+        capsys.readouterr()
+        assert _run(["table", "--seeds", "-3", "--out", str(tmp_path)]) == 2
+        assert "error: --seeds must be >= 0" in capsys.readouterr().err
+
+    def test_tabulates_each_row_once(self, tmp_path, monkeypatch):
+        specs = []
+
+        def counting_tabulate(spec):
+            specs.append(spec)
+            return tabulate(spec)
+
+        monkeypatch.setattr(experiments, "tabulate", counting_tabulate)
+        assert _run(["table", "--rows", "1-13", "--seeds", "1-3",
+                     "--out", str(tmp_path)]) == 0
+        assert len(specs) == 13
 
 
 class TestFigure:
@@ -187,8 +226,11 @@ class TestFigure:
                     assert math.isfinite(float(field))
         assert svg_path.read_text().startswith("<svg")
 
-    def test_bad_example_exits_2(self, tmp_path):
+    def test_bad_example_exits_2(self, tmp_path, capsys):
         assert _run(["figure", "--examples", "3", "--out", str(tmp_path)]) == 2
+        capsys.readouterr()
+        assert _run(["figure", "--seed", "-2", "--out", str(tmp_path)]) == 2
+        assert "error: --seed must be >= 0" in capsys.readouterr().err
 
 
 class TestParsing:

@@ -37,6 +37,17 @@ class TestDistributionSpec:
         with pytest.raises(DistributionSpecError):
             spec.param("mu")
 
+    @pytest.mark.parametrize("kind, params", [
+        ("power", ()),                                   # missing
+        ("pade14", (("p2", 1.0),)),                      # missing
+        ("sqrt_inv", (("mu", 5.0),)),                    # extra
+        ("power", (("mu", 5.0), ("exponent", 1.0))),     # extra
+        ("power_growth", (("mu", 5.0),)),                # wrong name
+    ])
+    def test_params_must_match_registry(self, kind, params):
+        with pytest.raises(DistributionSpecError):
+            DistributionSpec(kind, 3.0, 150.0, params=params)
+
     def test_describe(self):
         text = DistributionSpec.power(5.0, 3.0, 150.0).describe()
         assert "power" in text and "[3, 150]" in text
@@ -141,6 +152,8 @@ class TestDraw:
     def test_request_validation(self):
         with pytest.raises(ValueError):
             SampleRequest(n=1, seed=0)
+        with pytest.raises(ValueError):
+            SampleRequest(n=10, seed=-1)
 
 
 class TestSigmaStatistic:
