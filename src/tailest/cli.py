@@ -25,8 +25,10 @@ from .estimator import (
     solve_iterative,
 )
 from .experiments import (
-    FIGURE_EXAMPLES,
+    FigureExampleError,
     TableRowError,
+    check_figure_examples,
+    check_table_rows,
     figure_csv,
     run_figure,
     run_full_table,
@@ -94,9 +96,9 @@ def _read_values(path: str, column: str | None) -> list[float]:
     return values
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    """Parse '1,3,5' / '1-13' / '2,5-7' into a sorted list of ints."""
-    out: set[int] = set()
+def _parse_ranges(text: str, what: str) -> list[range]:
+    """Parse '1,3,5' / '1-13' / '2,5-7' into ranges, expanding none of them."""
+    out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -109,15 +111,21 @@ def _parse_int_list(text: str, what: str) -> list[int]:
                 raise _CliError(2, "bad %s %r" % (what, part))
             if hi < lo:
                 raise _CliError(2, "bad %s range %r" % (what, part))
-            out.update(range(lo, hi + 1))
+            out.append(range(lo, hi + 1))
         else:
             try:
-                out.add(int(part))
+                value = int(part)
             except ValueError:
                 raise _CliError(2, "bad %s %r" % (what, part))
+            out.append(range(value, value + 1))
     if not out:
         raise _CliError(2, "empty %s list %r" % (what, text))
-    return sorted(out)
+    return out
+
+
+def _ids(ranges: list[range]) -> list[int]:
+    """Every id of the ranges, sorted, without repeats."""
+    return sorted(set().union(*ranges))
 
 
 def _at_least(value: int, low: int, flag: str) -> int:
@@ -208,10 +216,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = _parse_int_list(args.rows, "row")
-    seeds = _parse_int_list(args.seeds, "seed")
+    rows = _parse_ranges(args.rows, "row")
+    seeds = _ids(_parse_ranges(args.seeds, "seed"))
     _at_least(seeds[0], 0, "--seeds")  # seeds are sorted
-    results = run_full_table(seeds, rows)
+    check_table_rows(rows)  # before expanding rows
+    results = run_full_table(seeds, _ids(rows))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "table.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -226,13 +235,11 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    examples = _parse_int_list(args.examples, "example")
-    bad = [e for e in examples if e not in FIGURE_EXAMPLES]
-    if bad:
-        raise _CliError(2, "unknown figure examples %s (valid: 14..17)" % bad)
+    examples = _parse_ranges(args.examples, "example")
+    check_figure_examples(examples)  # before expanding examples
     _at_least(args.seed, 0, "--seed")
     os.makedirs(args.out, exist_ok=True)
-    for example_id in examples:
+    for example_id in _ids(examples):
         result = run_figure(example_id, args.seed)
         base = os.path.join(args.out, "figure%d" % result.figure_number)
         with open(base + ".csv", "w", encoding="utf-8") as fh:
@@ -299,7 +306,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print("error: %s" % exc.message, file=sys.stderr)
         return exc.code
-    except (DistributionSpecError, TableRowError) as exc:
+    except (DistributionSpecError, TableRowError, FigureExampleError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except EstimationError as exc:

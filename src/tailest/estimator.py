@@ -221,7 +221,9 @@ def hill_estimate(sample: OrderedSample, k: int) -> EstimateResult:
         raise WindowError("k must be in [2, %d], got %d" % (len(sample), k))
     m = float(np.mean(sample.log_values[:k]))
     h = m - float(sample.log_values[k - 1])
-    if h == 0.0:
+    # np.mean of k equal logs need not return that log exactly, so ties are
+    # caught on the values; h == 0.0 also covers logs that round together
+    if h == 0.0 or sample.values[k - 1] == sample.values[0]:
         raise DegenerateSampleError("top-%d observations are all equal" % k)
     alpha = 1.0 / h
     return EstimateResult(
@@ -461,31 +463,111 @@ def solve_iterative(sample: OrderedSample, window: TailWindow,
 
 # --------------------------------------------------------------------------
 # Generalised Hill plot
+#
+# The sweep solves the same equation as solve_direct for every window (l, r)
+# at once.  _kernel_array repeats _kernel's formulas elementwise; the two
+# share no code because a one-element numpy call costs ~50x a scalar one, and
+# a property test pins them together.
+
+
+def _kernel_array(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise g(delta) and its slope, by the formulas of :func:`_kernel`."""
+    d2 = delta * delta
+    t = np.abs(delta)
+    with np.errstate(all="ignore"):  # only where the series replaces the result
+        e = np.exp(-t)
+        em = -np.expm1(-t)
+        q = e / (em * em)
+        h = 1.0 / t - e / em
+        g = np.where(delta > 0.0, h, 1.0 - h)
+        slope = q - 1.0 / d2
+    series = t < _SERIES_DELTA
+    g[series] = 0.5 - delta[series] * (
+        1.0 / 12.0 - d2[series] * (1.0 / 720.0 - d2[series] / 30240.0))
+    slope[series] = -1.0 / 12.0 + d2[series] * (1.0 / 240.0 - d2[series] / 6048.0)
+    return g, slope
+
+
+def _window_excess(values: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """ln(X_r/X_l) and mean_log - ln X_l of every window (l, r), l = r+1..n.
+
+    Logs are taken relative to X_r before the prefix sums, so a narrow window
+    keeps its digits: both results are built from small numbers.  Within a
+    factor 2 of X_r the difference X_r - X_j is exact, and log1p of it over
+    X_j keeps ln(X_r/X_j) accurate relative to itself as it nears 0; a
+    difference of two logs would carry their absolute rounding error.
+    """
+    top = values[r - 1]
+    tail = values[r - 1:]
+    near = tail > 0.5 * top
+    shift = np.log(top) - np.log(tail)
+    shift[near] = np.log1p((top - tail[near]) / tail[near])
+    span = shift[1:]
+    mean = np.cumsum(shift)[1:] / np.arange(2, shift.size + 1)
+    return span, span - mean
+
+
+def _none_for_nan(values: np.ndarray) -> list[float | None]:
+    out = values.astype(object)
+    out[np.isnan(values)] = None
+    return out.tolist()
 
 
 def hill_plot_series(sample: OrderedSample, r: int,
                      config: SolverConfig = DEFAULT_CONFIG) -> HillPlotSeries:
-    """Per-l series of classical and bounded-domain estimates.
+    """Per-l series of classical and bounded-domain estimates, in O(n).
 
     For each l from r+1 to n the classical entry uses the top-l points
-    (k = l) and the improved entry uses the window (l, r).  Degenerate
-    windows and solver failures leave a None at that l.
+    (k = l) and the improved entry uses the window (l, r).  One prefix sum
+    of logs shifted by ln X_1, and one of logs shifted by ln X_r, give every
+    window's Hill excess and mean log in O(1); the improved entries are then
+    solved together by the bracket-safeguarded Newton steps of
+    :func:`solve_direct`, with its seed, bracket, step and residual tests.
+    An entry is None exactly where the per-window estimators fail: tied top
+    values (Hill), X_l == X_r, a mean log outside (ln X_l, ln X_r), no root
+    within ``config.bracket_limit``, or no convergence within
+    ``config.max_iterations`` steps.
     """
     n = len(sample)
     if r < 1 or r >= n:
         raise WindowError("r must be in [1, %d), got %d" % (n, r))
-    l_values: list[int] = []
-    hill_mu: list[float | None] = []
-    improved_mu: list[float | None] = []
-    for l in range(r + 1, n + 1):
-        l_values.append(l)
-        try:
-            hill_mu.append(hill_estimate(sample, l).mu)
-        except EstimationError:
-            hill_mu.append(None)
-        try:
-            res = improved_estimate(sample, TailWindow(l=l, r=r), config)
-            improved_mu.append(res.mu if res.converged else None)
-        except EstimationError:
-            improved_mu.append(None)
-    return HillPlotSeries(l_values=l_values, mu_hill=hill_mu, mu_improved=improved_mu)
+    top_span, top_excess = _window_excess(sample.values, 1)
+    span, excess = (top_span, top_excess) if r == 1 else _window_excess(sample.values, r)
+    hill_excess = top_excess[r - 1:]
+    with np.errstate(divide="ignore"):
+        mu_hill = np.where(hill_excess == 0.0, np.nan, 1.0 / hill_excess + 1.0)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = excess / span
+    # g(-d) = 1 - g(d): a root lies in the bracket iff min(y, 1-y) >= g(limit)
+    limit = config.bracket_limit
+    todo = np.flatnonzero((span > 0.0) & (0.0 < y) & (y < 1.0)
+                          & (np.minimum(y, 1.0 - y) >= _kernel(limit)[0]))
+    mu_improved = np.full(span.size, np.nan)
+    y = y[todo]
+    delta = 1.0 / y - 1.0 / (1.0 - y)
+    lo = np.full(todo.size, -limit)
+    hi = np.full(todo.size, limit)
+    for _ in range(config.max_iterations):
+        if not todo.size:
+            break
+        delta = np.where((lo < delta) & (delta < hi), delta, 0.5 * (lo + hi))
+        g, slope = _kernel_array(delta)
+        residual = g - y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(slope != 0.0, residual / slope, np.inf)
+        done = np.abs(step) <= config.alpha_tolerance * np.maximum(1.0, np.abs(delta))
+        up = residual > 0.0
+        lo = np.where(up, delta, lo)
+        hi = np.where(up, hi, delta)
+        delta = delta - step
+        ok = done & (np.abs(residual) <= config.residual_tolerance)
+        mu_improved[todo[ok]] = delta[ok] / span[todo[ok]] + 1.0
+        left = ~done
+        todo, y, delta, lo, hi = todo[left], y[left], delta[left], lo[left], hi[left]
+
+    return HillPlotSeries(
+        l_values=list(range(r + 1, n + 1)),
+        mu_hill=_none_for_nan(mu_hill),
+        mu_improved=_none_for_nan(mu_improved),
+    )

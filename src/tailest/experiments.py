@@ -16,7 +16,7 @@ known to mislead.
 from __future__ import annotations
 
 import statistics
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .estimator import (
@@ -38,6 +38,9 @@ __all__ = [
     "FigureSeriesResult",
     "RowSummary",
     "TableRowError",
+    "FigureExampleError",
+    "check_table_rows",
+    "check_figure_examples",
     "run_table_row",
     "run_figure",
     "run_full_table",
@@ -56,6 +59,10 @@ FIGURE_CSV_HEADER = "l,mu_hill,mu_improved"
 
 class TableRowError(ValueError):
     """A table row id outside TABLE_ROWS was requested."""
+
+
+class FigureExampleError(ValueError):
+    """A figure example id outside FIGURE_EXAMPLES was requested."""
 
 
 @dataclass(frozen=True)
@@ -109,6 +116,53 @@ FIGURE_EXAMPLES: dict[int, FigureSpec] = {
         FigureSpec(17, 4, DistributionSpec.sqrt_inv(3.0, 1500.0), 10000, 0.5),
     )
 }
+
+
+# An error message lists at most this many unknown ids one by one; beyond
+# that it gives them as ranges "a..b".
+_LISTED_IDS = 100
+
+
+def _check_ids(ids: Iterable[int | range], registry: dict, what: str,
+               error: type[ValueError]) -> None:
+    """Raise error naming every id in ids (ints or step-1 ranges) not in registry.
+
+    Registry ids are contiguous, so the unknown part of a range is found from
+    its ends: a range of 10^8 ids costs no more than one id.
+    """
+    first, last = min(registry), max(registry)
+    bad = []
+    for part in ids:
+        if isinstance(part, int):
+            part = range(part, part + 1)
+        bad += [piece for piece in (range(part.start, min(part.stop, first)),
+                                    range(max(part.start, last + 1), part.stop))
+                if piece.start < piece.stop]
+    if not bad:
+        return
+    merged: list[range] = []
+    for piece in sorted(bad, key=lambda piece: piece.start):
+        if merged and piece.start <= merged[-1].stop:
+            merged[-1] = range(merged[-1].start, max(merged[-1].stop, piece.stop))
+        else:
+            merged.append(piece)
+    if sum(piece.stop - piece.start for piece in merged) <= _LISTED_IDS:
+        shown = str([i for piece in merged for i in piece])
+    else:
+        shown = "[%s]" % ", ".join(
+            "%d..%d" % (piece.start, piece.stop - 1) if piece.stop - piece.start > 1
+            else "%d" % piece.start for piece in merged)
+    raise error("unknown %s %s (valid: %d..%d)" % (what, shown, first, last))
+
+
+def check_table_rows(ids: Iterable[int | range]) -> None:
+    """Raise TableRowError naming the ids (ints or ranges) that are not table rows."""
+    _check_ids(ids, TABLE_ROWS, "table rows", TableRowError)
+
+
+def check_figure_examples(ids: Iterable[int | range]) -> None:
+    """Raise FigureExampleError naming the ids (ints or ranges) that are not figures."""
+    _check_ids(ids, FIGURE_EXAMPLES, "figure examples", FigureExampleError)
 
 
 @dataclass(frozen=True)
@@ -190,9 +244,7 @@ def run_full_table(seeds: list[int],
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    bad = [row_id for row_id in rows if row_id not in TABLE_ROWS]
-    if bad:
-        raise TableRowError("unknown table rows %s (valid: 1..13)" % bad)
+    check_table_rows(rows)
     results = []
     for row_id in rows:
         entry = TABLE_ROWS[row_id]
@@ -205,8 +257,7 @@ def run_full_table(seeds: list[int],
 def run_figure(example_id: int, seed: int,
                config: SolverConfig = DEFAULT_CONFIG) -> FigureSeriesResult:
     """Run one plot scenario: draw the sample and build the full series (r = 1)."""
-    if example_id not in FIGURE_EXAMPLES:
-        raise ValueError("unknown figure example %r (valid: 14..17)" % example_id)
+    check_figure_examples([example_id])
     fig = FIGURE_EXAMPLES[example_id]
     dist = tabulate(fig.spec)
     sample = draw(dist, SampleRequest(n=fig.n_rand, seed=seed))

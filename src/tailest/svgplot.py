@@ -1,4 +1,4 @@
-"""Tiny dependency-free SVG line chart for the generalized Hill plots.
+"""Tiny SVG line chart for the generalized Hill plots, with no plotting library.
 
 Emits a fixed 600x400 chart with three polylines: the classical series
 (solid), the bounded-domain series (dotted) and the expected exponent
@@ -9,6 +9,8 @@ early-l classical estimates can be arbitrarily wild.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .estimator import HillPlotSeries
 
@@ -27,16 +29,18 @@ def _percentile(sorted_vals: list[float], q: float) -> float:
     return sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac
 
 
-def _polyline(points: list[tuple[float, float]], style: str) -> str:
-    coords = " ".join("%.2f,%.2f" % (x, y) for x, y in points)
+def _polyline(xs, ys, style: str) -> str:
+    coords = " ".join(["%.2f,%.2f" % point for point in zip(xs, ys)])
     return '<polyline fill="none" %s points="%s"/>' % (style, coords)
 
 
 def hill_plot_svg(series: HillPlotSeries, expected_mu: float,
                   title: str = "") -> str:
     """Render the series as a standalone SVG document string."""
-    finite = sorted(
-        v for vs in (series.mu_hill, series.mu_improved) for v in vs if v is not None)
+    l_values = np.asarray(series.l_values)
+    # None entries become NaN and are left out of the range and the lines
+    columns = [np.array(vs, dtype=float) for vs in (series.mu_hill, series.mu_improved)]
+    finite = np.sort(np.concatenate([v[~np.isnan(v)] for v in columns]), kind="stable").tolist()
     y_lo = min(expected_mu, _percentile(finite, 0.02))
     y_hi = max(expected_mu, _percentile(finite, 0.98))
     pad = 0.08 * (y_hi - y_lo) or 1.0
@@ -45,16 +49,19 @@ def hill_plot_svg(series: HillPlotSeries, expected_mu: float,
     x_lo, x_hi = series.l_values[0], series.l_values[-1]
     x_span = max(x_hi - x_lo, 1)
 
-    def sx(l: float) -> float:
+    # the same arithmetic, in the same order, on arrays or scalars
+    def sx(l):
         return MARGIN + (l - x_lo) / x_span * (WIDTH - 2 * MARGIN)
 
-    def sy(v: float) -> float:
-        v = min(max(v, y_lo), y_hi)  # clip off-scale points to the frame
+    def sy(v):
+        v = np.minimum(np.maximum(v, y_lo), y_hi)  # clip off-scale points to the frame
         return HEIGHT - MARGIN - (v - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * MARGIN)
 
-    def line_points(values) -> list[tuple[float, float]]:
-        return [(sx(l), sy(v))
-                for l, v in zip(series.l_values, values) if v is not None]
+    def line(values, style: str) -> list[str]:
+        present = ~np.isnan(values)
+        if not present.any():
+            return []
+        return [_polyline(sx(l_values[present]).tolist(), sy(values[present]).tolist(), style)]
 
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
@@ -75,14 +82,9 @@ def hill_plot_svg(series: HillPlotSeries, expected_mu: float,
     parts.append('<text x="%d" y="%d" font-size="11" text-anchor="end">%.3g</text>'
                  % (MARGIN - 4, MARGIN + 10, y_hi - pad))
     parts.append(_polyline(
-        [(sx(x_lo), sy(expected_mu)), (sx(x_hi), sy(expected_mu))],
+        [sx(x_lo), sx(x_hi)], [sy(expected_mu), sy(expected_mu)],
         'stroke="grey" stroke-width="1" stroke-dasharray="8,4"'))
-    hill_pts = line_points(series.mu_hill)
-    if hill_pts:
-        parts.append(_polyline(hill_pts, 'stroke="black" stroke-width="1"'))
-    improved_pts = line_points(series.mu_improved)
-    if improved_pts:
-        parts.append(_polyline(
-            improved_pts, 'stroke="blue" stroke-width="1" stroke-dasharray="2,3"'))
+    parts += line(columns[0], 'stroke="black" stroke-width="1"')
+    parts += line(columns[1], 'stroke="blue" stroke-width="1" stroke-dasharray="2,3"')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import pytest
 
@@ -195,6 +196,13 @@ class TestTable:
         assert _run(["table", "--rows", "99", "--out", str(tmp_path)]) == 2
         assert _run(["table", "--rows", "x", "--out", str(tmp_path)]) == 2
         capsys.readouterr()
+        assert _run(["table", "--rows", "14-16", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: unknown table rows [14, 15, 16] (valid: 1..13)\n"
+        # a huge range is checked from its ends, never expanded
+        start = time.perf_counter()
+        assert _run(["table", "--rows", "1-100000000", "--out", str(tmp_path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == "error: unknown table rows [14..100000000] (valid: 1..13)\n"
         assert _run(["table", "--seeds", "-3", "--out", str(tmp_path)]) == 2
         assert "error: --seeds must be >= 0" in capsys.readouterr().err
 
@@ -228,7 +236,12 @@ class TestFigure:
 
     def test_bad_example_exits_2(self, tmp_path, capsys):
         assert _run(["figure", "--examples", "3", "--out", str(tmp_path)]) == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err == "error: unknown figure examples [3] (valid: 14..17)\n"
+        start = time.perf_counter()
+        assert _run(["figure", "--examples", "1-100000000", "--out", str(tmp_path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: unknown figure examples [1..13, 18..100000000] (valid: 14..17)\n")
         assert _run(["figure", "--seed", "-2", "--out", str(tmp_path)]) == 2
         assert "error: --seed must be >= 0" in capsys.readouterr().err
 

@@ -7,6 +7,7 @@ from tailest.estimator import (
     DegenerateBoundsError,
     DegenerateSampleError,
     EstimateResult,
+    EstimationError,
     OrderedSample,
     SingularityError,
     SolverConfig,
@@ -24,6 +25,8 @@ from tailest.estimator import (
     solve_direct,
     solve_iterative,
 )
+from tailest.experiments import FIGURE_EXAMPLES
+from tailest.sampler import SampleRequest, draw, tabulate
 
 E = math.e
 
@@ -130,6 +133,11 @@ class TestHillEstimate:
         s = OrderedSample([4.0, 4.0, 4.0])
         with pytest.raises(DegenerateSampleError):
             hill_estimate(s, 3)
+        # the mean of three logs of 7.3 is not ln 7.3 in floats
+        s = OrderedSample([7.3, 7.3, 7.3, 7.3, 2.0, 1.0])
+        for k in (2, 3, 4):
+            with pytest.raises(DegenerateSampleError):
+                hill_estimate(s, k)
 
     @pytest.mark.parametrize("k", [0, 1, 4])
     def test_k_out_of_range(self, k):
@@ -477,6 +485,74 @@ class TestHillPlotSeries:
         assert series.mu_improved[0] is None
         assert series.mu_hill[-1] is not None
         assert series.mu_improved[-1] is not None
+
+    # The prefix-sum sweep against a loop of per-window estimates: the same
+    # blank entries, and the same mu wherever ln(R/L) >= 1e-2 (narrower
+    # windows are where the per-window path loses digits of the mean log).
+    _RNG = np.random.default_rng(41)
+    _UNIFORM = OrderedSample(_RNG.uniform(1.0, 60.0, size=300))
+    _TIES = OrderedSample(np.concatenate([
+        [7.3] * 4, _RNG.uniform(1.0, 7.0, size=60), [3.1] * 5, [2.2] * 3,
+        _RNG.uniform(1.0, 7.0, size=30)]))
+    _WIDE = OrderedSample(_RNG.uniform(1.0, 1000.0, size=300))  # |delta| up to ~7
+
+    @staticmethod
+    def _per_window(sample, r, config):
+        hill, improved = [], []
+        for l in range(r + 1, len(sample) + 1):
+            try:
+                hill.append(hill_estimate(sample, l).mu)
+            except EstimationError:
+                hill.append(None)
+            try:
+                res = improved_estimate(sample, TailWindow(l=l, r=r), config)
+                improved.append(res.mu if res.converged else None)
+            except EstimationError:
+                improved.append(None)
+        return hill, improved
+
+    @pytest.mark.parametrize("sample, r, config, blanks", [
+        (_UNIFORM, 1, SolverConfig(), 0),
+        (_UNIFORM, 3, SolverConfig(), 0),
+        (_UNIFORM, 10, SolverConfig(), 0),
+        (_TIES, 1, SolverConfig(), 3),  # windows (2..4, 1) hold only ties
+        (_TIES, 2, SolverConfig(), 2),
+        (_WIDE, 1, SolverConfig(bracket_limit=5.0), 1),  # no root in the bracket
+        (_UNIFORM, 3, SolverConfig(max_iterations=1), 1),  # not converged
+    ])
+    def test_matches_per_window_loop(self, sample, r, config, blanks):
+        series = hill_plot_series(sample, r=r, config=config)
+        hill, improved = self._per_window(sample, r, config)
+        values = sample.values
+        for column, expected, top in ((series.mu_hill, hill, values[0]),
+                                      (series.mu_improved, improved, values[r - 1])):
+            assert [v is None for v in column] == [v is None for v in expected]
+            for l, got, want in zip(series.l_values, column, expected):
+                if want is not None and math.log(top / values[l - 1]) >= 1e-2:
+                    assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), l
+        # each case's blank-forcing input really leaves blank entries
+        assert sum(v is None for v in series.mu_improved) >= blanks
+
+    def test_narrow_windows_match_exact_root(self):
+        # windows (2..20, 1) of a figure sample span ln(R/L) ~ 1e-4..4e-3, where
+        # the root is known to 50 digits from the sample's exact logs
+        mpmath = pytest.importorskip("mpmath")
+        fig = FIGURE_EXAMPLES[16]
+        sample = draw(tabulate(fig.spec), SampleRequest(n=fig.n_rand, seed=1))
+        series = hill_plot_series(sample, r=1)
+        with mpmath.workdps(50):
+            logs = [mpmath.log(mpmath.mpf(float(v))) for v in sample.values[:20]]
+            for l in range(2, 21):
+                span = logs[0] - logs[l - 1]
+                y = (mpmath.fsum(logs[:l]) / l - logs[l - 1]) / span
+
+                def excess(d):
+                    return (1 / d - 1 / mpmath.expm1(d) if d else mpmath.mpf(0.5)) - y
+
+                mu = series.mu_improved[l - 2]
+                start = mpmath.mpf((mu - 1.0) * float(span))
+                exact = 1 + mpmath.findroot(excess, start) / span
+                assert abs(mu - exact) <= 1e-10, l
 
 
 class TestEstimateResultInvariants:

@@ -8,6 +8,9 @@ from tailest.experiments import (
     FIGURE_EXAMPLES,
     ITER5_CONFIG,
     TABLE_ROWS,
+    FigureExampleError,
+    TableRowError,
+    check_table_rows,
     figure_csv,
     run_figure,
     run_full_table,
@@ -161,6 +164,19 @@ class TestRunFigure:
     def test_unknown_example(self):
         with pytest.raises(ValueError):
             run_figure(13, seed=1)
+        # the message the CLI prints for --examples 3
+        with pytest.raises(FigureExampleError,
+                           match=r"^unknown figure examples \[3\] \(valid: 14\.\.17\)$"):
+            run_figure(3, seed=1)
+
+    def test_unknown_ids_listed_up_to_a_hundred_then_as_ranges(self):
+        check_table_rows([5, range(1, 14)])
+        with pytest.raises(TableRowError) as listed:
+            check_table_rows([range(1, 114)])  # 14..113: 100 unknown ids
+        assert str(listed.value) == "unknown table rows %s (valid: 1..13)" % list(range(14, 114))
+        with pytest.raises(TableRowError) as ranged:
+            check_table_rows([range(-5, 2), 20, range(1, 115)])
+        assert str(ranged.value) == "unknown table rows [-5..0, 14..114] (valid: 1..13)"
 
     def test_pade_example_shape(self):
         res = run_figure(14, seed=1)
@@ -213,3 +229,18 @@ class TestSvg:
                                 mu_improved=[1.0, None, 1.1, 1.05])
         svg = hill_plot_svg(series, expected_mu=1.0)
         ET.parse(io.StringIO(svg))
+
+    def test_points_skip_absent_and_clip_off_scale_entries(self):
+        # None entries leave no point, and 1e12, above the 98th percentile,
+        # is clipped to the top of the frame (y = 45)
+        series = HillPlotSeries(l_values=[2, 3, 4, 5, 6, 7],
+                                mu_hill=[1e9, None, 3.0, -1e9, 2.5, None],
+                                mu_improved=[None, 2.0, 1e12, None, 2.25, 1.5])
+        points = [el.get("points") for el in ET.parse(io.StringIO(
+            hill_plot_svg(series, expected_mu=2.0))).getroot().iter()
+            if el.tag.endswith("polyline")]
+        assert points == [
+            "45.00,333.35 555.00,333.35",
+            "45.00,333.04 249.00,333.35 351.00,333.66 453.00,333.35",
+            "147.00,333.35 249.00,45.00 453.00,333.35 555.00,333.35",
+        ]

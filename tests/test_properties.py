@@ -11,7 +11,9 @@ from tailest.estimator import (
     OrderedSample,
     SolverConfig,
     TailWindow,
+    _SERIES_DELTA,
     _kernel,
+    _kernel_array,
     correction,
     correction_derivative,
     full_window,
@@ -261,3 +263,19 @@ def test_correction_bound_exchange_and_scaling(delta, ln_low, span, ln_c):
     tol = 1e-12 * (1.0 + abs(ln_low) + abs(ln_low + span) + abs(ln_c) + 1.0 / abs(alpha))
     assert correction(alpha, high, low) == pytest.approx(base, abs=tol)
     assert correction(alpha, c * low, c * high) == pytest.approx(base + ln_c, abs=tol)
+
+
+@KERNEL_SETTINGS
+@given(st.lists(deltas, min_size=1, max_size=50))
+@example([0.0, _SERIES_DELTA, -_SERIES_DELTA, 1e4, -1e4])
+@example([math.nextafter(d, z) for d in (_SERIES_DELTA, -_SERIES_DELTA) for z in (0.0, 2 * d)])
+def test_kernel_array_matches_scalar_kernel(values):
+    g, slope = _kernel_array(np.array(values))
+    for delta, ga, sa in zip(values, g.tolist(), slope.tolist()):
+        gs, ss, _ = _kernel(delta)
+        # numpy's exp and expm1 may differ from libm's by an ulp; the
+        # cancellations in g and slope scale that by 1/|delta| and 1/delta^2
+        t = abs(delta)
+        assert ga == pytest.approx(gs, abs=1e-15 * (1.0 + 1.0 / t) if t else 1e-15)
+        assert sa == pytest.approx(ss, rel=1e-13,
+                                   abs=1e-15 / t ** 2 if t >= _SERIES_DELTA else 0.0)
