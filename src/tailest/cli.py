@@ -1,8 +1,9 @@
 """Command-line front end: estimate, simulate, table, figure.
 
-Exit codes: 0 success, 2 unreadable input (including a non-numeric or
-non-finite value) or invalid configuration, 3 non-positive observation in
-an input file, 4 degenerate window or failed estimation.  Diagnostics go to
+Exit codes: 0 success, 2 unreadable input (including text that is not
+UTF-8 and a non-numeric or non-finite value) or invalid configuration, 3
+non-positive observation in an input file, 4 degenerate window or failed
+estimation.  Diagnostics go to
 stderr; data goes to stdout or to files under --out.
 """
 
@@ -13,6 +14,8 @@ import csv
 import math
 import os
 import sys
+
+import numpy as np
 
 from .estimator import (
     EstimationError,
@@ -58,41 +61,84 @@ def _fmt(x: float) -> str:
     return "%.4g" % x
 
 
-def _read_values(path: str, column: str | None) -> list[float]:
-    """Read one observation per line, or a named CSV column.
+# Characters of text per block of lines that the plain reader converts in
+# one call; about 55,000 lines of 17-digit values.
+_BLOCK_CHARS = 1 << 20
 
-    Lines starting with '#' and blank lines are skipped in plain mode, empty
-    cells in column mode.  Non-numeric and non-finite values abort with exit
-    code 2, non-positive values with exit code 3, each naming the offending
-    line.
+
+def _read_values(path: str, column: str | None) -> np.ndarray:
+    """Read one observation per line, or a named CSV column, as a float array.
+
+    The input is UTF-8 text, with or without a leading byte-order mark, and
+    is read once from start to end without seeking, so a pipe such as
+    /dev/stdin works.  Lines starting with '#' and blank lines are skipped
+    in plain mode, empty cells in column mode.  Non-numeric and non-finite
+    values abort with exit code 2, non-positive values with exit code 3,
+    each naming the offending line; input that is not UTF-8 aborts with
+    exit code 2.
     """
-    values = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             if column is None:
-                cells = enumerate(fh, start=1)
+                values = _read_lines(path, fh)
             else:
                 reader = csv.DictReader(fh)
                 if reader.fieldnames is None or column not in reader.fieldnames:
                     raise _CliError(2, "%s: no column named %r" % (path, column))
                 cells = ((reader.line_num, record[column] or "") for record in reader)
-            for lineno, text in cells:
-                text = text.strip()
-                if not text or (column is None and text.startswith("#")):
-                    continue
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise _CliError(2, "%s:%d: not a number: %r" % (path, lineno, text))
-                if not 0.0 < value < math.inf:
-                    if value <= 0.0:
-                        raise _CliError(3, "%s:%d: non-positive value %r" % (path, lineno, text))
-                    raise _CliError(2, "%s:%d: not a finite number: %r" % (path, lineno, text))
-                values.append(value)
+                values = np.array(_checked(path, cells, comments=False), dtype=float)
+    except UnicodeDecodeError:
+        raise _CliError(2, "%s: not UTF-8 text" % path)
     except OSError as exc:
         raise _CliError(2, "cannot read %s: %s" % (path, exc))
     if len(values) < 2:
         raise _CliError(4, "%s: need at least 2 observations, got %d" % (path, len(values)))
+    return values
+
+
+def _read_lines(path: str, fh) -> np.ndarray:
+    """Convert each block of lines in one call, and only a block where that
+    fails or yields a value outside (0, inf) line by line.
+
+    If float(line) succeeds it equals float(line.strip()), so a block that
+    converts in one call holds exactly the values the line loop gives it.
+    """
+    blocks = []
+    first = 1  # line number of the block's first line
+    while True:
+        lines = fh.readlines(_BLOCK_CHARS)
+        if not lines:
+            break
+        try:
+            block = np.fromiter(map(float, lines), float, count=len(lines))
+        except ValueError:
+            block = None
+        if block is None or not np.all((block > 0.0) & (block < math.inf)):
+            cells = enumerate(lines, start=first)
+            block = np.array(_checked(path, cells, comments=True), dtype=float)
+        blocks.append(block)
+        first += len(lines)
+    return np.concatenate(blocks) if blocks else np.empty(0)
+
+
+def _checked(path: str, cells, comments: bool) -> list[float]:
+    """The values of (line number, text) pairs, skipping blank text and,
+    when comments is true, '#' lines; exit on the first text that is not a
+    positive finite number."""
+    values = []
+    for lineno, text in cells:
+        text = text.strip()
+        if not text or (comments and text.startswith("#")):
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise _CliError(2, "%s:%d: not a number: %r" % (path, lineno, text))
+        if not 0.0 < value < math.inf:
+            if value <= 0.0:
+                raise _CliError(3, "%s:%d: non-positive value %r" % (path, lineno, text))
+            raise _CliError(2, "%s:%d: not a finite number: %r" % (path, lineno, text))
+        values.append(value)
     return values
 
 
@@ -140,11 +186,16 @@ def _at_least(value: int, low: int, flag: str) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    for flag, bound in (("--xmin", args.xmin), ("--xmax", args.xmax)):
+        if bound is not None and math.isnan(bound):
+            raise _CliError(2, "%s must be a number, got nan" % flag)
+    if args.xmin is not None and args.xmax is not None and args.xmin > args.xmax:
+        raise _CliError(2, "--xmin %r is greater than --xmax %r" % (args.xmin, args.xmax))
     values = _read_values(args.file, args.column)
     if args.xmin is not None:
-        values = [v for v in values if v >= args.xmin]
+        values = values[values >= args.xmin]
     if args.xmax is not None:
-        values = [v for v in values if v <= args.xmax]
+        values = values[values <= args.xmax]
     if len(values) < 2:
         raise _CliError(4, "fewer than 2 observations left after --xmin/--xmax cuts")
     sample = OrderedSample(values)

@@ -1,7 +1,11 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 
+import numpy as np
 import pytest
 
 from tailest import cli, experiments
@@ -108,6 +112,142 @@ class TestEstimate:
         lines = plot.read_text().strip().split("\n")
         assert lines[0] == "l,mu_hill,mu_improved"
         assert len(lines) == 30  # header + (n - r) entries
+
+
+def _values_past_first_block(n: int) -> str:
+    """n lines of 17-digit values, several times the reader's block size."""
+    return "".join("%.17g\n" % (1.0 + i * 1e-3) for i in range(n))
+
+
+# What estimate printed on 1.5, 2.5, 3.5 before the block reader.
+OUT_3 = ("n 3  window l=3 r=1 (k=3)\nbounds L=1.5 R=3.5\nmean_log 0.8582\n"
+         "hill mu=3.209 alpha=2.209\nimproved mu=0.5129 alpha=-0.4871\n"
+         "improved-iterative mu=0.5129 alpha=-0.4871 iterations=5 converged=yes\n")
+
+# (input text, --column or None, exit code, stdout, stderr with {path}),
+# pinned from the line-by-line reader that the block reader replaced.
+PARITY = {
+    "header_and_inner_blank": ("# observations\n1.5\n\n2.5\n  \n3.5\n", None, 0, OUT_3, ""),
+    "trailing_blank_lines": ("1.5\n2.5\n3.5\n\n\n", None, 0, OUT_3, ""),
+    "crlf": ("1.5\r\n2.5\r\n3.5\r\n", None, 0, OUT_3, ""),
+    "lone_cr": ("1.5\r2.5\r3.5\r", None, 0, OUT_3, ""),
+    "underscore_and_separator": (
+        " 1_000 \n\x1c3\n2.5\n", None, 0,
+        "n 3  window l=3 r=1 (k=3)\nbounds L=2.5 R=1000\nmean_log 2.974\n"
+        "hill mu=1.486 alpha=0.4859\nimproved mu=1.334 alpha=0.3338\n"
+        "improved-iterative mu=1.334 alpha=0.3338 iterations=5 converged=yes\n", ""),
+    "arabic_indic_digits": (
+        "\u0661\u0662\n\u0663\n\u0662.\u0665\n", None, 0,
+        "n 3  window l=3 r=1 (k=3)\nbounds L=2.5 R=12\nmean_log 1.5\n"
+        "hill mu=2.713 alpha=1.713\nimproved mu=2.02 alpha=1.02\n"
+        "improved-iterative mu=2.02 alpha=1.02 iterations=5 converged=yes\n", ""),
+    "nan": ("1.5\nnan\n2.5\n", None, 2, "", "error: {path}:2: not a finite number: 'nan'\n"),
+    "inf": ("1.5\ninf\n2.5\n", None, 2, "", "error: {path}:2: not a finite number: 'inf'\n"),
+    "overflow": ("1.5\n1e400\n2.5\n", None, 2, "",
+                 "error: {path}:2: not a finite number: '1e400'\n"),
+    "minus_inf": ("1.5\n-inf\n2.5\n", None, 3, "", "error: {path}:2: non-positive value '-inf'\n"),
+    "zero": ("1.5\n0\n2.5\n", None, 3, "", "error: {path}:2: non-positive value '0'\n"),
+    "underflow": ("1.5\n1e-400\n2.5\n", None, 3, "",
+                  "error: {path}:2: non-positive value '1e-400'\n"),
+    "one_line": ("1.5\n", None, 4, "", "error: {path}: need at least 2 observations, got 1\n"),
+    "empty": ("", None, 4, "", "error: {path}: need at least 2 observations, got 0\n"),
+    "bad_line_past_first_block": (
+        _values_past_first_block(300_000) + "banana\n2.5\n", None, 2, "",
+        "error: {path}:300001: not a number: 'banana'\n"),
+    "zero_past_first_block": (
+        _values_past_first_block(300_000) + "0\n2.5\n", None, 3, "",
+        "error: {path}:300001: non-positive value '0'\n"),
+    "column": ("name,value\na,1.5\nb,\nc,2.5\nd,3.5\n", "value", 0, OUT_3, ""),
+    "column_quoted_crlf": ('name,value\r\n"a, x","1.5"\r\n"b\nc",2.5\r\nd,3.5\r\n',
+                           "value", 0, OUT_3, ""),
+    "column_bad_cell": ("name,value\na,1.5\nb,banana\nc,2.5\n", "value", 2, "",
+                        "error: {path}:3: not a number: 'banana'\n"),
+    "column_zero_cell": ("name,value\na,1.5\nb, 0 \nc,2.5\n", "value", 3, "",
+                         "error: {path}:3: non-positive value '0'\n"),
+}
+
+
+def _estimate(path, capsys, *flags):
+    code = _run(["estimate", str(path), *flags])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestReader:
+    @pytest.mark.parametrize("case", list(PARITY))
+    def test_parity_corpus(self, case, tmp_path, capsys):
+        text, column, code, out, err = PARITY[case]
+        path = tmp_path / "input.txt"
+        path.write_bytes(text.encode("utf-8"))
+        flags = ["--column", column] if column else []
+        assert _estimate(path, capsys, *flags) == (code, out, err.format(path=path))
+
+    def test_array_bit_equal_to_float_per_line(self, tmp_path):
+        rng = np.random.default_rng(5)
+        lines = ["%.17g" % v for v in rng.pareto(1.5, 200_000) + 1.0]
+        lines += [repr(v) for v in rng.uniform(1e-300, 1e-290, 1000).tolist()]
+        lines += [" 7 ", "1_000.5", "\u0664\u0662", "1E3", "+2.5"]
+        lines += ["%.6e" % v for v in rng.lognormal(0.0, 50.0, 100_000)]
+        # blank lines late in the file send one block through the line loop
+        text = "\n".join(lines[:250_000]) + "\n\n\n" + "\n".join(lines[250_000:]) + "\n"
+        path = tmp_path / "values.txt"
+        path.write_text(text, encoding="utf-8")
+        values = cli._read_values(str(path), None)
+        expected = np.array([float(s) for s in lines])
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert values.tobytes() == expected.tobytes()
+        csv_path = tmp_path / "values.csv"
+        csv_path.write_text("value\n" + "\n".join(lines[:1000]) + "\n", encoding="utf-8")
+        column = cli._read_values(str(csv_path), "value")
+        assert column.tobytes() == expected[:1000].tobytes()
+
+    def test_pipe_matches_file(self, tmp_path, capsys):
+        simulate = ["simulate", "--dist", "power", "--mu", "5", "--dlow", "3",
+                    "--dhigh", "4", "--n", "1000", "--seed", "7"]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        command = [sys.executable, "-m", "tailest.cli"]
+        producer = subprocess.Popen(command + simulate, stdout=subprocess.PIPE,
+                                    stderr=subprocess.DEVNULL, env=env)
+        consumer = subprocess.run(command + ["estimate", "/dev/stdin"], stdin=producer.stdout,
+                                  capture_output=True, text=True, env=env, timeout=60)
+        producer.stdout.close()
+        assert producer.wait(timeout=60) == 0
+        path = tmp_path / "sample.txt"
+        assert _run(simulate + ["--out", str(path)]) == 0
+        capsys.readouterr()
+        assert (consumer.returncode, consumer.stdout, consumer.stderr) == (
+            _estimate(path, capsys))
+
+    def test_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        for data, flags in ((b"1.5\n2.5\n\xe93.5\n", []),
+                            (_values_past_first_block(100_000).encode() + b"\xff\n", []),
+                            (b"name,value\na,1.5\nb,2.5\xb5\n", ["--column", "value"]),
+                            (b"n\xe9,value\na,1.5\n", ["--column", "value"])):
+            path.write_bytes(data)
+            assert _estimate(path, capsys, *flags) == (
+                2, "", "error: %s: not UTF-8 text\n" % path)
+
+    def test_byte_order_mark_skipped(self, tmp_path, capsys):
+        bom = b"\xef\xbb\xbf"
+        path = tmp_path / "bom.txt"
+        path.write_bytes(bom + b"1.5\n2.5\n3.5\n")
+        assert _estimate(path, capsys) == (0, OUT_3, "")
+        path.write_bytes(bom + b"name,value\na,1.5\nb,2.5\nc,3.5\n")
+        assert _estimate(path, capsys, "--column", "value") == (0, OUT_3, "")
+
+    def test_bad_cut_flags_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "data.txt"
+        path.write_text("1.0\n2.0\n3.0\n")
+        for flags, flag in ((["--xmin", "nan"], "--xmin"), (["--xmax", "nan"], "--xmax"),
+                            (["--xmin", "1", "--xmax", "nan"], "--xmax"),
+                            (["--xmin", "2.5", "--xmax", "1.5"], "--xmin")):
+            code, out, err = _estimate(path, capsys, *flags)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: %s " % flag) and err.count("\n") == 1
+        # cuts are inclusive at both ends
+        code, out, err = _estimate(path, capsys, "--xmin", "1", "--xmax", "3")
+        assert code == 0 and out.startswith("n 3 ")
 
 
 class TestSimulate:
