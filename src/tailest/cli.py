@@ -1,10 +1,10 @@
 """Command-line front end: estimate, simulate, table, figure.
 
 Exit codes: 0 success, 2 unreadable input (including text that is not
-UTF-8 and a non-numeric or non-finite value) or invalid configuration, 3
-non-positive observation in an input file, 4 degenerate window or failed
-estimation.  Diagnostics go to
-stderr; data goes to stdout or to files under --out.
+UTF-8, a malformed CSV record and a non-numeric or non-finite value) or
+invalid configuration, 3 non-positive observation in an input file, 4
+degenerate window or failed estimation.  Diagnostics go to stderr; data
+goes to stdout or to files under --out.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .experiments import (
     check_figure_examples,
     check_table_rows,
     figure_csv,
+    merge_ranges,
     run_figure,
     run_full_table,
     summarize_table,
@@ -86,7 +87,11 @@ def _read_values(path: str, column: str | None) -> np.ndarray:
                 if reader.fieldnames is None or column not in reader.fieldnames:
                     raise _CliError(2, "%s: no column named %r" % (path, column))
                 cells = ((reader.line_num, record[column] or "") for record in reader)
-                values = np.array(_checked(path, cells, comments=False), dtype=float)
+                try:
+                    values = np.array(_checked(path, cells, comments=False), dtype=float)
+                except csv.Error as exc:  # e.g. a cell above csv.field_size_limit()
+                    # DictReader.line_num lags on a failed record; its reader's does not
+                    raise _CliError(2, "%s:%d: %s" % (path, reader.reader.line_num, exc))
     except UnicodeDecodeError:
         raise _CliError(2, "%s: not UTF-8 text" % path)
     except OSError as exc:
@@ -171,7 +176,12 @@ def _parse_ranges(text: str, what: str) -> list[range]:
 
 def _ids(ranges: list[range]) -> list[int]:
     """Every id of the ranges, sorted, without repeats."""
-    return sorted(set().union(*ranges))
+    return [i for part in merge_ranges(ranges) for i in part]
+
+
+# The most seeds one table command may select; checked from the range ends
+# before any seed list is built.
+_MAX_SEEDS = 100_000
 
 
 def _at_least(value: int, low: int, flag: str) -> int:
@@ -268,16 +278,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     rows = _parse_ranges(args.rows, "row")
-    seeds = _ids(_parse_ranges(args.seeds, "seed"))
-    _at_least(seeds[0], 0, "--seeds")  # seeds are sorted
+    seeds = merge_ranges(_parse_ranges(args.seeds, "seed"))
+    _at_least(seeds[0].start, 0, "--seeds")  # merged ranges are sorted
+    count = sum(len(part) for part in seeds)
+    if count > _MAX_SEEDS:
+        raise _CliError(2, "--seeds selects %d seeds (at most %d)" % (count, _MAX_SEEDS))
     check_table_rows(rows)  # before expanding rows
-    results = run_full_table(seeds, _ids(rows))
+    results = run_full_table(_ids(seeds), _ids(rows))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "table.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(table_csv(results))
     print("wrote %s" % path, file=sys.stderr)
-    if len(seeds) > 1:
+    if count > 1:
         summary_path = os.path.join(args.out, "table_summary.csv")
         with open(summary_path, "w", encoding="utf-8") as fh:
             fh.write(summary_csv(summarize_table(results)))

@@ -20,6 +20,7 @@ indices, so X_l is the smallest included observation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
     "solve_direct",
     "solve_iterative",
     "improved_estimate",
+    "full_window_estimates",
     "hill_plot_series",
 ]
 
@@ -465,12 +467,13 @@ def solve_iterative(sample: OrderedSample, window: TailWindow,
 
 
 # --------------------------------------------------------------------------
-# Generalised Hill plot
+# Many windows at once
 #
-# The sweep solves the same equation as solve_direct for every window (l, r)
-# at once.  _kernel_array repeats _kernel's formulas elementwise; the two
-# share no code because a one-element numpy call costs ~50x a scalar one, and
-# a property test pins them together.
+# The plot sweep and the table's blocks of samples solve the same equation
+# as the scalar solvers for many windows at once.  _kernel_array repeats
+# _kernel's formulas elementwise; the two share no code because a
+# one-element numpy call costs ~50x a scalar one, and a property test pins
+# them together.
 
 
 def _kernel_array(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -489,6 +492,129 @@ def _kernel_array(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         1.0 / 12.0 - d2[series] * (1.0 / 720.0 - d2[series] / 30240.0))
     slope[series] = -1.0 / 12.0 + d2[series] * (1.0 / 240.0 - d2[series] / 6048.0)
     return g, slope
+
+
+def _has_root(y: np.ndarray, config: SolverConfig) -> np.ndarray:
+    """Where y lies in (0, 1) with its root inside |delta| <= config.bracket_limit."""
+    # g(-d) = 1 - g(d): the root lies in the bracket iff min(y, 1-y) >= g(limit)
+    return (0.0 < y) & (y < 1.0) & (
+        np.minimum(y, 1.0 - y) >= _kernel(config.bracket_limit)[0])
+
+
+def _solve_windows(y: np.ndarray, span: np.ndarray, config: SolverConfig,
+                   seed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Solve g(delta) = y for every entry at once: alpha = delta / span and
+    a converged mask.
+
+    Without a seed these are :func:`solve_direct`'s steps: from
+    1/y - 1/(1-y), inside a bracket that starts at |delta| <=
+    ``config.bracket_limit``, so every entry must pass :func:`_has_root`.
+    Given a seed (the starting deltas) they are :func:`solve_iterative`'s:
+    unguarded, so an iterate that turns non-finite stays non-finite, and
+    alpha is non-finite exactly where solve_iterative raises.  Each entry
+    stops at its own step test; one still going after
+    ``config.max_iterations`` steps keeps its last iterate, unconverged.
+    """
+    guarded = seed is None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = 1.0 / y - 1.0 / (1.0 - y) if guarded else seed
+    alpha = np.empty(y.size)
+    converged = np.zeros(y.size, dtype=bool)
+    todo = np.arange(y.size)
+    lo = np.full(y.size, -config.bracket_limit)
+    hi = np.full(y.size, config.bracket_limit)
+    for _ in range(config.max_iterations):
+        if not todo.size:
+            break
+        if guarded:
+            delta = np.where((lo < delta) & (delta < hi), delta, 0.5 * (lo + hi))
+        g, slope = _kernel_array(delta)
+        residual = g - y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(slope != 0.0, residual / slope, np.inf)
+            done = np.abs(step) <= config.alpha_tolerance * np.maximum(1.0, np.abs(delta))
+            nxt = delta - step
+        if guarded:
+            up = residual > 0.0
+            lo = np.where(up, delta, lo)
+            hi = np.where(up, hi, delta)
+        delta = nxt
+        stop = todo[done]
+        alpha[stop] = delta[done] / span[stop]
+        converged[stop] = np.abs(residual[done]) <= config.residual_tolerance
+        left = ~done
+        todo, y, delta, lo, hi = todo[left], y[left], delta[left], lo[left], hi[left]
+    with np.errstate(invalid="ignore"):
+        alpha[todo] = delta / span[todo]
+    return alpha, converged
+
+
+def full_window_estimates(blocks: Iterable[np.ndarray], iterative: SolverConfig = DEFAULT_CONFIG,
+                          config: SolverConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, ...]:
+    """Full-window estimates of many samples, solved all at once.
+
+    Each block is a 2-D array whose rows are samples in descending order,
+    as :attr:`OrderedSample.values` holds one; blocks may differ in width.
+    A block is reduced to a few numbers per sample before the next is read,
+    so only one needs to be in memory.  Returns six arrays with one entry
+    per sample, in order: X_l and X_r (the smallest and largest value), the
+    mean log, and mu from :func:`hill_estimate` over the whole sample, from
+    :func:`solve_iterative` with ``iterative`` and from
+    :func:`improved_estimate` with ``config``.  The first four are
+    bit-identical to the one-sample functions (each row is logged and summed
+    on its own, in the same order); the solvers take the same Newton steps
+    through :func:`_kernel_array`, whose exp may differ from math.exp in the
+    last bit, so they agree to about 1e-12 relative.  A sample that the
+    one-sample functions reject raises the same EstimationError subclass,
+    for the first such sample and, within it, the first check they would
+    fail.
+    """
+    columns: list[list[np.ndarray]] = [[] for _ in range(6)]
+    for values in blocks:
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2 or values.shape[1] < 2:
+            raise DegenerateSampleError(
+                "need rows of at least 2 observations, got shape %s" % (values.shape,))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # contiguous, as OrderedSample's are: numpy may take a loop that
+            # differs in the last bit for strided input
+            logs = np.log(np.ascontiguousarray(values))
+            parts = (values[:, -1], values[:, 0], logs.mean(axis=1), logs[:, -1], logs[:, 0],
+                     np.isfinite(logs).all(axis=1))
+        for column, part in zip(columns, parts):
+            column.append(part.copy())  # a view would keep the whole block alive
+    if not columns[0]:
+        raise DegenerateSampleError("need at least one block of samples")
+    low, high, mean, ln_low, ln_high, finite = map(np.concatenate, columns)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        excess = mean - ln_low
+        span = ln_high - ln_low
+        y = excess / span
+        mu_hill = 1.0 / excess + 1.0
+        hill_seed = 1.0 / y
+    alpha_iterative, _ = _solve_windows(y, span, iterative, seed=hill_seed)
+    # checks in the order the one-sample path meets them
+    failures = (
+        (~finite, DegenerateSampleError, "sample contains non-finite or non-positive values"),
+        ((excess == 0.0) | (low == high), DegenerateSampleError,
+         "observations are all equal"),
+        (~np.isfinite(alpha_iterative), SolverFailureError, "iteration diverged"),
+        (~((0.0 < y) & (y < 1.0)), DegenerateSampleError, "mean log outside (ln L, ln R)"),
+        (~_has_root(y, config), SolverFailureError,
+         "no root within |alpha * ln(R/L)| <= %g" % config.bracket_limit),
+    )
+    bad = np.logical_or.reduce([mask for mask, _, _ in failures])
+    if bad.any():
+        row = int(np.argmax(bad))
+        error, message = next((error, message) for mask, error, message in failures
+                              if mask[row])
+        raise error("sample %d of %d: %s" % (row + 1, bad.size, message))
+    alpha_direct, _ = _solve_windows(y, span, config)
+    return low, high, mean, mu_hill, alpha_iterative + 1.0, alpha_direct + 1.0
+
+
+# --------------------------------------------------------------------------
+# Generalised Hill plot
 
 
 def _window_excess(values: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -542,32 +668,10 @@ def hill_plot_series(sample: OrderedSample, r: int,
 
     with np.errstate(divide="ignore", invalid="ignore"):
         y = excess / span
-    # g(-d) = 1 - g(d): a root lies in the bracket iff min(y, 1-y) >= g(limit)
-    limit = config.bracket_limit
-    todo = np.flatnonzero((span > 0.0) & (0.0 < y) & (y < 1.0)
-                          & (np.minimum(y, 1.0 - y) >= _kernel(limit)[0]))
+    todo = np.flatnonzero((span > 0.0) & _has_root(y, config))
+    alpha, converged = _solve_windows(y[todo], span[todo], config)
     mu_improved = np.full(span.size, np.nan)
-    y = y[todo]
-    delta = 1.0 / y - 1.0 / (1.0 - y)
-    lo = np.full(todo.size, -limit)
-    hi = np.full(todo.size, limit)
-    for _ in range(config.max_iterations):
-        if not todo.size:
-            break
-        delta = np.where((lo < delta) & (delta < hi), delta, 0.5 * (lo + hi))
-        g, slope = _kernel_array(delta)
-        residual = g - y
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(slope != 0.0, residual / slope, np.inf)
-        done = np.abs(step) <= config.alpha_tolerance * np.maximum(1.0, np.abs(delta))
-        up = residual > 0.0
-        lo = np.where(up, delta, lo)
-        hi = np.where(up, hi, delta)
-        delta = delta - step
-        ok = done & (np.abs(residual) <= config.residual_tolerance)
-        mu_improved[todo[ok]] = delta[ok] / span[todo[ok]] + 1.0
-        left = ~done
-        todo, y, delta, lo, hi = todo[left], y[left], delta[left], lo[left], hi[left]
+    mu_improved[todo[converged]] = alpha[converged] + 1.0
 
     return HillPlotSeries(
         l_values=list(range(r + 1, n + 1)),

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +69,13 @@ class TestEstimate:
             csv_path.write_text("name,value\na,1.5\nb,%s\nc,2.5\n" % text)
             assert _run(["estimate", str(csv_path), "--column", "value"]) == 2
             assert "%s:3: not a finite number" % csv_path in capsys.readouterr().err
+
+    def test_oversized_csv_cell_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("name,value\na,1.5\nb,2.5\nc,%s\n" % ("7" * 200_000))
+        assert _run(["estimate", str(path), "--column", "value"]) == 2
+        assert capsys.readouterr().err == (
+            "error: %s:4: field larger than field limit (131072)\n" % path)
 
     def test_csv_column(self, tmp_path, capsys):
         path = tmp_path / "data.csv"
@@ -345,6 +353,39 @@ class TestTable:
         assert capsys.readouterr().err == "error: unknown table rows [14..100000000] (valid: 1..13)\n"
         assert _run(["table", "--seeds", "-3", "--out", str(tmp_path)]) == 2
         assert "error: --seeds must be >= 0" in capsys.readouterr().err
+
+    def test_seed_count_checked_from_range_ends(self, tmp_path, capsys):
+        start = time.perf_counter()
+        assert _run(["table", "--seeds", "0-100000000", "--out", str(tmp_path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: --seeds selects 100000001 seeds (at most 100000)\n")
+        # overlapping ranges count each seed once: 100,001 distinct seeds
+        assert _run(["table", "--rows", "99", "--seeds", "1-60000,50000-100001",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --seeds selects 100001 seeds (at most 100000)\n")
+        # exactly the cap, with repeats, passes on to the row check
+        assert _run(["table", "--rows", "99", "--seeds", "1-100000,7,99999-100000",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: unknown table rows [99] (valid: 1..13)\n"
+        assert cli._ids([range(5, 8), range(1, 7), range(3, 4), range(9, 10)]) == [
+            1, 2, 3, 4, 5, 6, 7, 9]
+
+    def test_matches_golden_table(self, tmp_path):
+        # tests/data/table_seeds_1-5.csv was written by the per-seed runner this
+        # block runner replaced: every column but the two solved ones is
+        # byte-identical, and those agree to 1e-12 relative
+        assert _run(["table", "--seeds", "1-5", "--out", str(tmp_path)]) == 0
+        got = (tmp_path / "table.csv").read_text().splitlines()
+        want = (Path(__file__).parent / "data" / "table_seeds_1-5.csv").read_text().splitlines()
+        assert got[0] == want[0] == experiments.TABLE_CSV_HEADER
+        assert len(got) == len(want) == 1 + 13 * 5
+        for got_line, want_line in zip(got[1:], want[1:]):
+            got_cells, want_cells = got_line.split(","), want_line.split(",")
+            assert got_cells[:7] == want_cells[:7]
+            for g, w in zip(got_cells[7:], want_cells[7:]):
+                assert abs(float(g) - float(w)) <= 1e-12 * abs(float(w))
 
     def test_tabulates_each_row_once(self, tmp_path, monkeypatch):
         specs = []

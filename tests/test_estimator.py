@@ -17,6 +17,7 @@ from tailest.estimator import (
     correction,
     correction_derivative,
     full_window,
+    full_window_estimates,
     gfun,
     hill_estimate,
     hill_plot_series,
@@ -25,7 +26,7 @@ from tailest.estimator import (
     solve_direct,
     solve_iterative,
 )
-from tailest.experiments import FIGURE_EXAMPLES
+from tailest.experiments import FIGURE_EXAMPLES, ITER5_CONFIG, TABLE_ROWS
 from tailest.sampler import SampleRequest, draw, tabulate
 
 E = math.e
@@ -553,6 +554,85 @@ class TestHillPlotSeries:
                 start = mpmath.mpf((mu - 1.0) * float(span))
                 exact = 1 + mpmath.findroot(excess, start) / span
                 assert abs(mu - exact) <= 1e-10, l
+
+
+def _one_sample_estimates(values, iterative, config):
+    """(mean log, Hill mu, iterative mu, direct mu) by the one-sample
+    functions, or the class of the error they raise."""
+    try:
+        sample = OrderedSample(values)
+        window = full_window(sample)
+        return (mean_log(sample, window), hill_estimate(sample, len(sample)).mu,
+                solve_iterative(sample, window, iterative).mu,
+                improved_estimate(sample, window, config).mu)
+    except EstimationError as exc:
+        return type(exc)
+
+
+class TestFullWindowEstimates:
+    CONFIGS = [
+        (ITER5_CONFIG, SolverConfig()),
+        (SolverConfig(), SolverConfig(max_iterations=2)),  # direct stops unconverged
+        (SolverConfig(max_iterations=1), SolverConfig(bracket_limit=50.0)),
+    ]
+
+    @pytest.mark.parametrize("iterative, config", CONFIGS)
+    def test_matches_one_sample_estimators(self, iterative, config):
+        rows = [draw(tabulate(TABLE_ROWS[row].spec), SampleRequest(300, seed)).values
+                for row in (1, 2, 5, 9, 13) for seed in (1, 2)]
+        rows += [_log_uniform(300, seed).values for seed in (1, 2)]
+        rows.append(rows[0][:123])  # a narrower block
+        blocks = [np.array(rows[:5]), np.array(rows[5:12]), np.array(rows[12:])]
+        columns = full_window_estimates(blocks, iterative, config)
+        for i, row in enumerate(rows):
+            mean, hill, iterated, direct = _one_sample_estimates(row, iterative, config)
+            assert (columns[0][i], columns[1][i]) == (row[-1], row[0])
+            assert columns[2][i] == mean
+            assert columns[3][i] == hill
+            assert abs(columns[4][i] - iterated) <= 1e-12 * abs(iterated)
+            assert abs(columns[5][i] - direct) <= 1e-12 * abs(direct)
+
+    def test_each_sample_on_its_own(self):
+        # 333 values: rows start at every offset within a SIMD register
+        rows = np.array([draw(tabulate(TABLE_ROWS[row].spec), SampleRequest(333, seed)).values
+                         for row in (2, 4, 13) for seed in (1, 2, 3)])
+        together = full_window_estimates([rows], ITER5_CONFIG)
+        for i in range(len(rows)):
+            alone = full_window_estimates([rows[i:i + 1]], ITER5_CONFIG)
+            assert all(np.array_equal(a, t[i:i + 1]) for a, t in zip(alone, together))
+
+    # blocks of descending rows that the one-sample path rejects somewhere
+    GOOD = [4.0, 3.7, 3.5, 3.3, 3.2, 3.1, 3.05, 3.0]
+    TIED = [5.0] * 8
+    # y ~ 1/8 < g(5) ~ 0.19: no root within a bracket of 5 (y >= 1/n always)
+    NO_ROOT = [100.0, 1.002, 1.001, 1.0, 1.0, 1.0, 1.0, 1.0]
+    # logs that tie, or a mean log that rounds onto a bound
+    ONE_ULP = [math.nextafter(3.0, 4.0)] + [3.0] * 7
+
+    @pytest.mark.parametrize("blocks", [
+        [[TIED]],
+        [[GOOD, GOOD[:-1] + [0.0]]],
+        [[GOOD, GOOD[:-1] + [-1.0]]],
+        [[[math.inf] + GOOD[1:]]],
+        [[GOOD, NO_ROOT]],
+        [[ONE_ULP]],
+        # the first bad sample decides the error, across blocks of any width
+        [[GOOD], [NO_ROOT, TIED]],
+        [[GOOD[:4], GOOD[4:]], [TIED], [NO_ROOT]],
+    ])
+    def test_rejects_like_one_sample_path(self, blocks):
+        iterative, config = ITER5_CONFIG, SolverConfig(bracket_limit=5.0)
+        outcomes = [_one_sample_estimates(row, iterative, config)
+                    for block in blocks for row in block]
+        expected = next(o for o in outcomes if isinstance(o, type))
+        with pytest.raises(EstimationError) as info:
+            full_window_estimates([np.array(block) for block in blocks], iterative, config)
+        assert type(info.value) is expected
+
+    def test_needs_blocks_of_samples(self):
+        for blocks in ([], [np.array([3.0, 2.0])], [np.array([[3.0], [2.0]])]):
+            with pytest.raises(DegenerateSampleError):
+                full_window_estimates(blocks)
 
 
 class TestEstimateResultInvariants:

@@ -1,15 +1,26 @@
 import io
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from tailest.estimator import HillPlotSeries, SolverConfig, full_window, solve_iterative
+from tailest import experiments
+from tailest.estimator import (
+    EstimationError,
+    HillPlotSeries,
+    SolverConfig,
+    full_window,
+    hill_estimate,
+    improved_estimate,
+    solve_iterative,
+)
 from tailest.experiments import (
     FIGURE_EXAMPLES,
     ITER5_CONFIG,
     TABLE_ROWS,
     FigureExampleError,
     TableRowError,
+    TableRowSpec,
     check_table_rows,
     figure_csv,
     run_figure,
@@ -19,7 +30,7 @@ from tailest.experiments import (
     summary_csv,
     table_csv,
 )
-from tailest.sampler import SampleRequest, draw, tabulate
+from tailest.sampler import DistributionSpec, SampleRequest, draw, sigma_statistic, tabulate
 from tailest.svgplot import hill_plot_svg
 
 
@@ -111,9 +122,48 @@ class TestRunFullTable:
         assert csv1 == csv2
 
     def test_matches_single_row_runner(self):
-        results = run_full_table([7])
+        # a cell must not depend on the seeds that share its block: row 3
+        # draws 5000 values per seed, so its 40 seeds span several blocks
+        seeds = range(1, 41)
+        assert len(seeds) * TABLE_ROWS[3].n_rand > 2 * experiments._BLOCK_VALUES
+        results = run_full_table(seeds)
+        assert [(r.row_id, r.seed) for r in results] == [
+            (row, seed) for row in TABLE_ROWS for seed in seeds]
         for res in results:
-            assert res == run_table_row(res.row_id, seed=7)
+            assert res == run_table_row(res.row_id, res.seed)
+
+    def test_matches_one_sample_estimators(self):
+        # the per-cell calls the runner used to make: same draws, sigma and
+        # Hill bit for bit; both solvers to 1e-12 relative
+        for res in run_full_table(range(1, 6)):
+            entry = TABLE_ROWS[res.row_id]
+            sample = draw(tabulate(entry.spec), SampleRequest(entry.n_rand, res.seed))
+            window = full_window(sample)
+            assert res.observed_low == sample.values[-1]
+            assert res.observed_high == sample.values[0]
+            assert res.sigma == sigma_statistic(sample)
+            assert res.mu_hill == hill_estimate(sample, len(sample)).mu
+            iter5 = solve_iterative(sample, window, ITER5_CONFIG).mu
+            direct = improved_estimate(sample, window).mu
+            assert abs(res.mu_iter5 - iter5) <= 1e-12 * abs(iter5)
+            assert abs(res.mu_direct - direct) <= 1e-12 * abs(direct)
+
+    def test_degenerate_cell_raises_like_one_sample_path(self, monkeypatch):
+        # two draws on a domain one float wide: their values or logs tie, or
+        # the mean log rounds onto a bound
+        spec = DistributionSpec.power(5.0, 3.0, math.nextafter(3.0, 4.0))
+        monkeypatch.setitem(TABLE_ROWS, 14, TableRowSpec(14, spec, 2, 5.0, True))
+        dist = tabulate(spec)
+        for seed in range(1, 6):
+            sample = draw(dist, SampleRequest(2, seed))
+            window = full_window(sample)
+            with pytest.raises(EstimationError) as scalar:
+                hill_estimate(sample, 2)
+                solve_iterative(sample, window, ITER5_CONFIG)
+                improved_estimate(sample, window)
+            with pytest.raises(EstimationError) as blocked:
+                run_full_table([seed], [2, 14])
+            assert type(blocked.value) is type(scalar.value)
 
 
 class TestSummaries:

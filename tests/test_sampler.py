@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 
 from tailest.estimator import OrderedSample, full_window, mean_log
+from tailest.experiments import FIGURE_EXAMPLES, TABLE_ROWS
 from tailest.sampler import (
     DistributionSpec,
     DistributionSpecError,
     SampleRequest,
     draw,
+    draw_block,
     sigma_statistic,
     tabulate,
 )
+
+# (spec, n) of every table row and figure: the samples the package reproduces
+BUILT_IN_SAMPLES = ([(row.spec, row.n_rand) for row in TABLE_ROWS.values()]
+                    + [(fig.spec, fig.n_rand) for fig in FIGURE_EXAMPLES.values()])
 
 E = math.e
 
@@ -154,6 +160,34 @@ class TestDraw:
             SampleRequest(n=1, seed=0)
         with pytest.raises(ValueError):
             SampleRequest(n=10, seed=-1)
+
+    @pytest.mark.parametrize("spec, n", BUILT_IN_SAMPLES)
+    def test_pcg64_contract(self, spec, n):
+        # the uniforms of default_rng(seed), mapped in the order drawn: sorting
+        # them first must not change a single bit of the sample
+        dist = tabulate(spec)
+        for seed in (0, 1, 2):
+            u = np.random.default_rng(seed).random(n)
+            expected = np.sort(np.interp(u, dist.cdf, dist.xs))[::-1]
+            assert np.array_equal(draw(dist, SampleRequest(n, seed)).values, expected)
+
+
+class TestDrawBlock:
+    @pytest.mark.parametrize("spec, n", BUILT_IN_SAMPLES)
+    def test_rows_equal_draws(self, spec, n):
+        dist = tabulate(spec)
+        seeds = [3, 1, 4, 1, 5]
+        block = draw_block(dist, n, seeds)
+        assert block.shape == (len(seeds), n)
+        for row, seed in zip(block, seeds):
+            assert np.array_equal(row, draw(dist, SampleRequest(n, seed)).values)
+
+    def test_request_validation(self):
+        dist = tabulate(DistributionSpec.power(5.0, 3.0, 4.0))
+        with pytest.raises(ValueError):
+            draw_block(dist, 10, [1, -1])
+        with pytest.raises(ValueError):
+            draw_block(dist, 1, [1])
 
 
 class TestSigmaStatistic:
