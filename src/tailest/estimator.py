@@ -10,7 +10,10 @@ that solves the exact mean-log identity for a truncated power law.  Both
 bounded-domain solvers take Newton steps on one dimensionless kernel of
 delta = alpha * ln(R/L): the direct solver safeguards them with a bracket,
 and the iterative solver is the paper's multiplicative update seeded with
-the Hill value, which is the same Newton step taken unguarded.
+the Hill value, which is the same Newton step taken unguarded.  One
+vectorized Newton loop takes those steps for every root the module solves:
+a single window, the full windows of many samples, or every window of a
+generalized Hill plot.
 
 Conventions: samples are held in descending order (X_1 is the largest value),
 mu = alpha + 1, and a window (l, r) selects X_r >= ... >= X_l with 1-based
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,11 +161,12 @@ class SolverConfig:
     bracket_limit: float = 1e4
 
     def __post_init__(self):
-        if self.alpha_tolerance <= 0 or self.residual_tolerance <= 0:
+        # written so that NaN fails them too
+        if not (self.alpha_tolerance > 0 and self.residual_tolerance > 0):
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.bracket_limit <= 0:
+        if not self.bracket_limit > 0:
             raise ValueError("bracket_limit must be positive")
 
 
@@ -264,19 +268,26 @@ def hill_estimate(sample: OrderedSample, k: int) -> EstimateResult:
 _SERIES_DELTA = 0.05
 
 
-def _kernel(delta: float) -> tuple[float, float, float]:
-    """Return g(delta), its slope g'(delta) and q(delta) = g' + 1/delta^2."""
-    d2 = delta * delta
-    if abs(delta) < _SERIES_DELTA:
-        g = 0.5 - delta * (1.0 / 12.0 - d2 * (1.0 / 720.0 - d2 / 30240.0))
-        slope = -1.0 / 12.0 + d2 * (1.0 / 240.0 - d2 / 6048.0)
-        return g, slope, (1.0 / d2 + slope) if d2 else math.inf
-    t = abs(delta)
-    e = math.exp(-t)  # 0.0 beyond t ~ 745, where g = 1/delta (+1 if delta < 0)
-    em = -math.expm1(-t)  # 1 - e^-t, in (0, 1]
-    q = e / (em * em)
-    h = 1.0 / t - e / em  # g(|delta|)
-    return (h if delta > 0.0 else 1.0 - h), q - 1.0 / d2, q
+def _kernel_array(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise g(delta), its slope g'(delta) and q(delta) = g' + 1/delta^2."""
+    t = np.abs(delta)
+    series = t < _SERIES_DELTA
+    # the closed form is replaced by the series where it fails; delta^2
+    # overflows beyond |delta| ~ 1e154, which only zeroes 1/delta^2, and q =
+    # 1/delta^2 + slope overflows to inf below |delta| ~ 1e-154
+    with np.errstate(all="ignore"):
+        d2 = delta * delta
+        ds, d2s = delta[series], d2[series]
+        e = np.exp(-t)  # 0.0 beyond t ~ 745, where g = 1/delta (+1 if delta < 0)
+        em = -np.expm1(-t)  # 1 - e^-t, in (0, 1]
+        q = e / (em * em)
+        h = 1.0 / t - e / em  # g(|delta|)
+        g = np.where(delta > 0.0, h, 1.0 - h)
+        slope = q - 1.0 / d2
+        g[series] = 0.5 - ds * (1.0 / 12.0 - d2s * (1.0 / 720.0 - d2s / 30240.0))
+        slope[series] = -1.0 / 12.0 + d2s * (1.0 / 240.0 - d2s / 6048.0)
+        q[series] = 1.0 / d2s + slope[series]
+    return g, slope, q
 
 
 def _bounded_kernel(alpha: float, L: float, R: float):
@@ -286,7 +297,7 @@ def _bounded_kernel(alpha: float, L: float, R: float):
             "bounds must be positive and distinct, got L=%r R=%r" % (L, R))
     ln_l = math.log(L)
     span = math.log(R) - ln_l
-    return ln_l, span, _kernel(alpha * span)
+    return ln_l, span, [float(v[0]) for v in _kernel_array(np.array([alpha * span]))]
 
 
 def correction(alpha: float, L: float, R: float) -> float:
@@ -329,18 +340,108 @@ def gfun(alpha: float, L: float, R: float) -> float:
 # --------------------------------------------------------------------------
 # Solvers
 #
-# Both solvers solve g(delta) = y with y = (mean_log - ln L) / ln(R/L) in
-# (0, 1), i.e. G(alpha) = mean_log, by Newton steps in delta.
+# Every bounded-domain estimate solves g(delta) = y with y = (mean_log -
+# ln L) / ln(R/L) in (0, 1), i.e. G(alpha) = mean_log, by Newton steps in
+# delta.  One vectorized loop, _solve_windows, takes those steps for one
+# window, for every sample of the table and for every window of the plot
+# sweep, so the three cannot drift apart.
 
 
-def _newton_step(delta: float, y: float, config: SolverConfig):
-    """One Newton step on g(delta) = y: (next delta, residual at delta, done)."""
-    g, slope, _ = _kernel(delta)
-    residual = g - y
-    # the slope only underflows to 0 for |delta| > 1e154; the step is lost there
-    step = residual / slope if slope else math.inf
-    done = abs(step) <= config.alpha_tolerance * max(1.0, abs(delta))
-    return delta - step, residual, done
+def _has_root(y: np.ndarray, config: SolverConfig) -> np.ndarray:
+    """Where y lies in (0, 1) with its root inside |delta| <= config.bracket_limit."""
+    # g(-d) = 1 - g(d): the root lies in the bracket iff min(y, 1-y) >= g(limit)
+    g_limit = _kernel_array(np.array([config.bracket_limit]))[0]
+    return (0.0 < y) & (y < 1.0) & (np.minimum(y, 1.0 - y) >= g_limit)
+
+
+def _solve_windows(y: np.ndarray, span: np.ndarray, config: SolverConfig,
+                   seed: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Solve g(delta) = y for every entry at once: alpha = delta / span, a
+    converged mask and the Newton steps taken by each entry.
+
+    Without a seed the steps are safeguarded: from 1/y - 1/(1-y), inside a
+    bracket that starts at |delta| <= ``config.bracket_limit``, so every
+    entry must pass :func:`_has_root`; a step leaving the bracket becomes a
+    bisection.  Given a seed (the starting deltas) they are unguarded, and
+    an entry stops at the first step whose iterate is non-finite, with a
+    non-finite alpha.  Each entry also stops once a step in delta is at most
+    ``config.alpha_tolerance`` relative to max(1, |delta|), and is converged
+    if its residual, in units of ln(R/L), was at most
+    ``config.residual_tolerance`` at the iterate that step was taken from.
+    One still going after ``config.max_iterations`` steps keeps its last
+    iterate, unconverged.
+    """
+    guarded = seed is None
+    alpha = np.empty(y.size)
+    converged = np.zeros(y.size, dtype=bool)
+    steps = np.full(y.size, config.max_iterations)
+    todo = np.arange(y.size)
+    lo = np.full(y.size, -config.bracket_limit)
+    hi = np.full(y.size, config.bracket_limit)
+    with np.errstate(all="ignore"):  # non-finite iterates are handled below
+        delta = 1.0 / y - 1.0 / (1.0 - y) if guarded else seed
+        for count in range(1, config.max_iterations + 1):
+            if not todo.size:
+                break
+            if guarded:
+                delta = np.where((lo < delta) & (delta < hi), delta, 0.5 * (lo + hi))
+            g, slope, _ = _kernel_array(delta)
+            residual = g - y
+            # the slope only underflows to 0 for |delta| > 1e154; the step is lost there
+            step = np.where(slope != 0.0, residual / slope, np.inf)
+            done = np.abs(step) <= config.alpha_tolerance * np.maximum(1.0, np.abs(delta))
+            if guarded:
+                up = residual > 0.0
+                lo = np.where(up, delta, lo)
+                hi = np.where(up, hi, delta)
+            delta = delta - step
+            stop = done if guarded else done | ~np.isfinite(delta)
+            ended = todo[stop]
+            alpha[ended] = delta[stop] / span[ended]
+            converged[ended] = done[stop] & (np.abs(residual[stop]) <= config.residual_tolerance)
+            steps[ended] = count
+            left = ~stop
+            todo, y, delta, lo, hi = todo[left], y[left], delta[left], lo[left], hi[left]
+        alpha[todo] = delta / span[todo]
+    return alpha, converged, steps
+
+
+def _window_bounds(sample: OrderedSample, window: TailWindow):
+    """X_l, X_r, their logs and the window's mean log; rejects a window whose
+    end points have equal logs, which distinct values a few ulp apart can."""
+    m = mean_log(sample, window)  # checks the window first
+    low = float(sample.values[window.l - 1])
+    high = float(sample.values[window.r - 1])
+    ln_low = float(sample.log_values[window.l - 1])
+    ln_high = float(sample.log_values[window.r - 1])
+    if ln_low == ln_high:
+        raise DegenerateSampleError("window values %r to %r have equal logs" % (low, high))
+    return low, high, ln_low, ln_high, m
+
+
+def _solve_bounded(mean_log: float, L: float, R: float, ln_l: float, ln_r: float,
+                   k: int, config: SolverConfig) -> EstimateResult:
+    """The safeguarded solve of G(alpha) = mean_log on [L, R], given ln L < ln R."""
+    span = ln_r - ln_l
+    y = (mean_log - ln_l) / span
+    if not (0.0 < y < 1.0):
+        raise DegenerateSampleError(
+            "mean log %r outside (ln L, ln R) = (%r, %r)" % (mean_log, ln_l, ln_r))
+    if not _has_root(np.array([y]), config)[0]:
+        raise SolverFailureError(
+            "no root within |alpha * ln(R/L)| <= %g" % config.bracket_limit)
+    alpha, converged, _ = _solve_windows(np.array([y]), np.array([span]), config)
+    return EstimateResult(
+        alpha=float(alpha[0]),
+        mu=float(alpha[0]) + 1.0,
+        method="improved-direct",
+        iterations=0,
+        converged=bool(converged[0]),
+        window_low=L,
+        window_high=R,
+        k=k,
+        mean_log=mean_log,
+    )
 
 
 def solve_direct(mean_log: float, L: float, R: float,
@@ -355,56 +456,10 @@ def solve_direct(mean_log: float, L: float, R: float,
     """
     if not (0.0 < L < R):
         raise DegenerateBoundsError("need 0 < L < R, got L=%r R=%r" % (L, R))
-    ln_l = math.log(L)
-    ln_r = math.log(R)
-    span = ln_r - ln_l
-    y = (mean_log - ln_l) / span
-    if not (0.0 < y < 1.0):
-        raise DegenerateSampleError(
-            "mean log %r outside (ln L, ln R) = (%r, %r)" % (mean_log, ln_l, ln_r))
-    # g(-d) = 1 - g(d), so the root lies in the bracket iff min(y, 1-y) >= g(limit)
-    lo, hi = -config.bracket_limit, config.bracket_limit
-    if min(y, 1.0 - y) < _kernel(hi)[0]:
-        raise SolverFailureError(
-            "no root within |alpha * ln(R/L)| <= %g" % config.bracket_limit)
-
-    delta = 1.0 / y - 1.0 / (1.0 - y)
-    converged = False
-    for _ in range(config.max_iterations):
-        if not lo < delta < hi:
-            delta = 0.5 * (lo + hi)
-        nxt, residual, done = _newton_step(delta, y, config)
-        if residual > 0.0:
-            lo = delta
-        else:
-            hi = delta
-        delta = nxt
-        if done:
-            converged = abs(residual) <= config.residual_tolerance
-            break
-
-    alpha = delta / span
-    return EstimateResult(
-        alpha=alpha,
-        mu=alpha + 1.0,
-        method="improved-direct",
-        iterations=0,
-        converged=converged,
-        window_low=L,
-        window_high=R,
-        k=0,
-        mean_log=mean_log,
-    )
-
-
-def _window_bounds(sample: OrderedSample, window: TailWindow) -> tuple[float, float, float]:
-    """X_l, X_r and the window's mean log; rejects a window of equal values."""
-    m = mean_log(sample, window)  # checks the window first
-    low = float(sample.values[window.l - 1])
-    high = float(sample.values[window.r - 1])
-    if low == high:
-        raise DegenerateSampleError("window values are all equal to %g" % low)
-    return low, high, m
+    ln_l, ln_r = math.log(L), math.log(R)
+    if ln_l == ln_r:
+        raise DegenerateBoundsError("bounds L=%r R=%r have equal logs" % (L, R))
+    return _solve_bounded(mean_log, L, R, ln_l, ln_r, 0, config)
 
 
 def improved_estimate(sample: OrderedSample, window: TailWindow,
@@ -414,9 +469,8 @@ def improved_estimate(sample: OrderedSample, window: TailWindow,
     Equates the window's empirical mean log to G(alpha) with L = X_l and
     R = X_r and returns the unique root; mu = alpha + 1.
     """
-    low, high, m = _window_bounds(sample, window)
-    result = solve_direct(m, low, high, config)
-    return replace(result, k=window.k)
+    low, high, ln_low, ln_high, m = _window_bounds(sample, window)
+    return _solve_bounded(m, low, high, ln_low, ln_high, window.k, config)
 
 
 def solve_iterative(sample: OrderedSample, window: TailWindow,
@@ -428,37 +482,28 @@ def solve_iterative(sample: OrderedSample, window: TailWindow,
         alpha' = alpha * (1 + (alpha * (m - C) - 1) / (alpha^2 * D - 1))
 
     which is exactly Newton's method on G(alpha) = m, since G' = D - 1/alpha^2.
-    The steps are taken unguarded in delta = alpha * ln(R/L) (Newton is
-    unchanged by that rescaling), so the table's mu_iter5 is the Hill seed
-    followed by four Newton steps.  Iteration stops once a step in delta is
-    below ``config.alpha_tolerance`` relative to max(1, |delta|), or after
-    ``config.max_iterations`` steps.  Non-convergence is reported via
-    ``converged=False``, not an exception, so callers can fall back to
-    :func:`solve_direct`.
+    The steps are the unguarded Newton steps in delta = alpha * ln(R/L) of
+    the loop every solver shares (Newton is unchanged by that rescaling), so
+    the table's mu_iter5 is the Hill seed followed by four Newton steps.
+    Iteration stops once a step in delta is below ``config.alpha_tolerance``
+    relative to max(1, |delta|), or after ``config.max_iterations`` steps.
+    Non-convergence is reported via ``converged=False``, not an exception,
+    so callers can fall back to :func:`solve_direct`.
     """
-    low, high, m = _window_bounds(sample, window)
-    ln_low = math.log(low)
-    span = math.log(high) - ln_low
+    low, high, ln_low, ln_high, m = _window_bounds(sample, window)
     if m == ln_low:
         raise DegenerateSampleError("mean log equals ln X_l; Hill seed undefined")
-
-    y = (m - ln_low) / span
-    delta = 1.0 / y  # Hill seed
-    converged = False
-    for iterations in range(1, config.max_iterations + 1):
-        delta, residual, done = _newton_step(delta, y, config)
-        if not math.isfinite(delta):
-            raise SolverFailureError("iteration diverged at step %d" % iterations)
-        if done:
-            converged = abs(residual) <= config.residual_tolerance
-            break
-    alpha = delta / span
+    span = ln_high - ln_low
+    y = np.array([(m - ln_low) / span])
+    alpha, converged, steps = _solve_windows(y, np.array([span]), config, seed=1.0 / y)
+    if not np.isfinite(alpha[0]):
+        raise SolverFailureError("iteration diverged at step %d" % steps[0])
     return EstimateResult(
-        alpha=alpha,
-        mu=alpha + 1.0,
+        alpha=float(alpha[0]),
+        mu=float(alpha[0]) + 1.0,
         method="improved-iterative",
-        iterations=iterations,
-        converged=converged,
+        iterations=int(steps[0]),
+        converged=bool(converged[0]),
         window_low=low,
         window_high=high,
         k=window.k,
@@ -467,86 +512,7 @@ def solve_iterative(sample: OrderedSample, window: TailWindow,
 
 
 # --------------------------------------------------------------------------
-# Many windows at once
-#
-# The plot sweep and the table's blocks of samples solve the same equation
-# as the scalar solvers for many windows at once.  _kernel_array repeats
-# _kernel's formulas elementwise; the two share no code because a
-# one-element numpy call costs ~50x a scalar one, and a property test pins
-# them together.
-
-
-def _kernel_array(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise g(delta) and its slope, by the formulas of :func:`_kernel`."""
-    d2 = delta * delta
-    t = np.abs(delta)
-    with np.errstate(all="ignore"):  # only where the series replaces the result
-        e = np.exp(-t)
-        em = -np.expm1(-t)
-        q = e / (em * em)
-        h = 1.0 / t - e / em
-        g = np.where(delta > 0.0, h, 1.0 - h)
-        slope = q - 1.0 / d2
-    series = t < _SERIES_DELTA
-    g[series] = 0.5 - delta[series] * (
-        1.0 / 12.0 - d2[series] * (1.0 / 720.0 - d2[series] / 30240.0))
-    slope[series] = -1.0 / 12.0 + d2[series] * (1.0 / 240.0 - d2[series] / 6048.0)
-    return g, slope
-
-
-def _has_root(y: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """Where y lies in (0, 1) with its root inside |delta| <= config.bracket_limit."""
-    # g(-d) = 1 - g(d): the root lies in the bracket iff min(y, 1-y) >= g(limit)
-    return (0.0 < y) & (y < 1.0) & (
-        np.minimum(y, 1.0 - y) >= _kernel(config.bracket_limit)[0])
-
-
-def _solve_windows(y: np.ndarray, span: np.ndarray, config: SolverConfig,
-                   seed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Solve g(delta) = y for every entry at once: alpha = delta / span and
-    a converged mask.
-
-    Without a seed these are :func:`solve_direct`'s steps: from
-    1/y - 1/(1-y), inside a bracket that starts at |delta| <=
-    ``config.bracket_limit``, so every entry must pass :func:`_has_root`.
-    Given a seed (the starting deltas) they are :func:`solve_iterative`'s:
-    unguarded, so an iterate that turns non-finite stays non-finite, and
-    alpha is non-finite exactly where solve_iterative raises.  Each entry
-    stops at its own step test; one still going after
-    ``config.max_iterations`` steps keeps its last iterate, unconverged.
-    """
-    guarded = seed is None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = 1.0 / y - 1.0 / (1.0 - y) if guarded else seed
-    alpha = np.empty(y.size)
-    converged = np.zeros(y.size, dtype=bool)
-    todo = np.arange(y.size)
-    lo = np.full(y.size, -config.bracket_limit)
-    hi = np.full(y.size, config.bracket_limit)
-    for _ in range(config.max_iterations):
-        if not todo.size:
-            break
-        if guarded:
-            delta = np.where((lo < delta) & (delta < hi), delta, 0.5 * (lo + hi))
-        g, slope = _kernel_array(delta)
-        residual = g - y
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(slope != 0.0, residual / slope, np.inf)
-            done = np.abs(step) <= config.alpha_tolerance * np.maximum(1.0, np.abs(delta))
-            nxt = delta - step
-        if guarded:
-            up = residual > 0.0
-            lo = np.where(up, delta, lo)
-            hi = np.where(up, hi, delta)
-        delta = nxt
-        stop = todo[done]
-        alpha[stop] = delta[done] / span[stop]
-        converged[stop] = np.abs(residual[done]) <= config.residual_tolerance
-        left = ~done
-        todo, y, delta, lo, hi = todo[left], y[left], delta[left], lo[left], hi[left]
-    with np.errstate(invalid="ignore"):
-        alpha[todo] = delta / span[todo]
-    return alpha, converged
+# Many samples at once
 
 
 def full_window_estimates(blocks: Iterable[np.ndarray], iterative: SolverConfig = DEFAULT_CONFIG,
@@ -560,14 +526,12 @@ def full_window_estimates(blocks: Iterable[np.ndarray], iterative: SolverConfig 
     per sample, in order: X_l and X_r (the smallest and largest value), the
     mean log, and mu from :func:`hill_estimate` over the whole sample, from
     :func:`solve_iterative` with ``iterative`` and from
-    :func:`improved_estimate` with ``config``.  The first four are
-    bit-identical to the one-sample functions (each row is logged and summed
-    on its own, in the same order); the solvers take the same Newton steps
-    through :func:`_kernel_array`, whose exp may differ from math.exp in the
-    last bit, so they agree to about 1e-12 relative.  A sample that the
-    one-sample functions reject raises the same EstimationError subclass,
-    for the first such sample and, within it, the first check they would
-    fail.
+    :func:`improved_estimate` with ``config``.  All six are bit-identical to
+    the one-sample functions: each row is logged and summed on its own, in
+    the same order, and its roots are solved by the same Newton loop from
+    the same ln X_l and ln X_r.  A sample that the one-sample functions
+    reject raises the same EstimationError subclass, for the first such
+    sample and, within it, the first check they would fail.
     """
     columns: list[list[np.ndarray]] = [[] for _ in range(6)]
     for values in blocks:
@@ -592,12 +556,12 @@ def full_window_estimates(blocks: Iterable[np.ndarray], iterative: SolverConfig 
         y = excess / span
         mu_hill = 1.0 / excess + 1.0
         hill_seed = 1.0 / y
-    alpha_iterative, _ = _solve_windows(y, span, iterative, seed=hill_seed)
+    alpha_iterative, _, _ = _solve_windows(y, span, iterative, seed=hill_seed)
     # checks in the order the one-sample path meets them
     failures = (
         (~finite, DegenerateSampleError, "sample contains non-finite or non-positive values"),
-        ((excess == 0.0) | (low == high), DegenerateSampleError,
-         "observations are all equal"),
+        ((excess == 0.0) | (span == 0.0), DegenerateSampleError,
+         "observations are all equal or have equal logs"),
         (~np.isfinite(alpha_iterative), SolverFailureError, "iteration diverged"),
         (~((0.0 < y) & (y < 1.0)), DegenerateSampleError, "mean log outside (ln L, ln R)"),
         (~_has_root(y, config), SolverFailureError,
@@ -609,7 +573,7 @@ def full_window_estimates(blocks: Iterable[np.ndarray], iterative: SolverConfig 
         error, message = next((error, message) for mask, error, message in failures
                               if mask[row])
         raise error("sample %d of %d: %s" % (row + 1, bad.size, message))
-    alpha_direct, _ = _solve_windows(y, span, config)
+    alpha_direct, _, _ = _solve_windows(y, span, config)
     return low, high, mean, mu_hill, alpha_iterative + 1.0, alpha_direct + 1.0
 
 
@@ -650,8 +614,8 @@ def hill_plot_series(sample: OrderedSample, r: int,
     (k = l) and the improved entry uses the window (l, r).  One prefix sum
     of logs shifted by ln X_1, and one of logs shifted by ln X_r, give every
     window's Hill excess and mean log in O(1); the improved entries are then
-    solved together by the bracket-safeguarded Newton steps of
-    :func:`solve_direct`, with its seed, bracket, step and residual tests.
+    solved together in the Newton loop that :func:`solve_direct` runs on one
+    root, with its seed, bracket, step and residual tests.
     An entry is None exactly where the per-window estimators fail: tied top
     values (Hill), X_l == X_r, a mean log outside (ln X_l, ln X_r), no root
     within ``config.bracket_limit``, or no convergence within
@@ -669,7 +633,7 @@ def hill_plot_series(sample: OrderedSample, r: int,
     with np.errstate(divide="ignore", invalid="ignore"):
         y = excess / span
     todo = np.flatnonzero((span > 0.0) & _has_root(y, config))
-    alpha, converged = _solve_windows(y[todo], span[todo], config)
+    alpha, converged, _ = _solve_windows(y[todo], span[todo], config)
     mu_improved = np.full(span.size, np.nan)
     mu_improved[todo[converged]] = alpha[converged] + 1.0
 

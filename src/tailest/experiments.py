@@ -237,9 +237,9 @@ def run_full_table(seeds: Sequence[int],
     uniforms in sorted order leaves it unchanged).
     :func:`full_window_estimates` reduces each block as it is drawn and then
     solves every cell of the table at once.  No cell depends on the cells
-    beside it: sigma, L, R and mu_hill are bit-identical to the one-sample
-    estimators, mu_iter5 and mu_direct agree with them to about 1e-12
-    relative.  A cell those estimators reject raises their EstimationError
+    beside it: sigma, L, R, mu_hill, mu_iter5 and mu_direct are
+    bit-identical to the one-sample estimators, whose roots the same Newton
+    loop solves.  A cell those estimators reject raises their EstimationError
     subclass, for the first such cell by row, then seed.  Unknown row ids
     raise TableRowError before any work is done.
     """

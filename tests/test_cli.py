@@ -103,6 +103,9 @@ class TestEstimate:
         path = tmp_path / "flat.txt"
         path.write_text("5.0\n5.0\n5.0\n")
         assert _run(["estimate", str(path)]) == 4
+        # distinct values whose logs tie pass the Hill check but not the solvers
+        path.write_text("%r\n" % math.nextafter(3.0, 4.0) + "3.0\n" * 10)
+        assert _run(["estimate", str(path)]) == 4
 
     def test_window_override(self, tmp_path, capsys):
         path = tmp_path / "data.txt"

@@ -12,7 +12,6 @@ from tailest.estimator import (
     SolverConfig,
     TailWindow,
     _SERIES_DELTA,
-    _kernel,
     _kernel_array,
     correction,
     correction_derivative,
@@ -216,6 +215,11 @@ KERNEL_SETTINGS = settings(max_examples=400, derandomize=True, deadline=None)
 deltas = st.floats(min_value=-1e4, max_value=1e4)
 
 
+def _kernel(delta):
+    """g, slope and q at one delta, through the vectorized kernel."""
+    return [float(v[0]) for v in _kernel_array(np.array([delta]))]
+
+
 @KERNEL_SETTINGS
 @given(deltas)
 def test_kernel_g_in_unit_interval_with_negative_slope(delta):
@@ -234,9 +238,19 @@ def test_kernel_g_strictly_decreasing(d1, gap):
 
 @KERNEL_SETTINGS
 @given(deltas)
+@example(0.0)
+@example(5e-324)  # subnormal: q = 1/delta^2 + slope overflows to inf
+@example(1e-7)
 @example(0.0499)
 @example(-0.0501)
-@example(1e-7)
+@example(_SERIES_DELTA)
+@example(-_SERIES_DELTA)
+@example(math.nextafter(_SERIES_DELTA, 0.0))
+@example(math.nextafter(_SERIES_DELTA, 1.0))
+@example(math.nextafter(-_SERIES_DELTA, 0.0))
+@example(math.nextafter(-_SERIES_DELTA, -1.0))
+@example(1e4)
+@example(-1e4)
 def test_kernel_matches_raw_forms(delta):
     t = abs(delta)
     g, slope, q = _kernel(delta)
@@ -263,19 +277,3 @@ def test_correction_bound_exchange_and_scaling(delta, ln_low, span, ln_c):
     tol = 1e-12 * (1.0 + abs(ln_low) + abs(ln_low + span) + abs(ln_c) + 1.0 / abs(alpha))
     assert correction(alpha, high, low) == pytest.approx(base, abs=tol)
     assert correction(alpha, c * low, c * high) == pytest.approx(base + ln_c, abs=tol)
-
-
-@KERNEL_SETTINGS
-@given(st.lists(deltas, min_size=1, max_size=50))
-@example([0.0, _SERIES_DELTA, -_SERIES_DELTA, 1e4, -1e4])
-@example([math.nextafter(d, z) for d in (_SERIES_DELTA, -_SERIES_DELTA) for z in (0.0, 2 * d)])
-def test_kernel_array_matches_scalar_kernel(values):
-    g, slope = _kernel_array(np.array(values))
-    for delta, ga, sa in zip(values, g.tolist(), slope.tolist()):
-        gs, ss, _ = _kernel(delta)
-        # numpy's exp and expm1 may differ from libm's by an ulp; the
-        # cancellations in g and slope scale that by 1/|delta| and 1/delta^2
-        t = abs(delta)
-        assert ga == pytest.approx(gs, abs=1e-15 * (1.0 + 1.0 / t) if t else 1e-15)
-        assert sa == pytest.approx(ss, rel=1e-13,
-                                   abs=1e-15 / t ** 2 if t >= _SERIES_DELTA else 0.0)
