@@ -228,9 +228,14 @@ def hill_estimate(sample: OrderedSample, k: int) -> EstimateResult:
     m = float(np.mean(sample.log_values[:k]))
     h = m - float(sample.log_values[k - 1])
     # np.mean of k equal logs need not return that log exactly, so ties are
-    # caught on the values; h == 0.0 also covers logs that round together
-    if h == 0.0 or sample.values[k - 1] == sample.values[0]:
+    # caught on the values; the mean of logs a few ulp apart can round to
+    # ln X_k or below it
+    if sample.values[k - 1] == sample.values[0]:
         raise DegenerateSampleError("top-%d observations are all equal" % k)
+    if h <= 0.0:
+        raise DegenerateSampleError(
+            "top-%d observations: Hill excess mean log - ln X_%d = %r is not positive"
+            % (k, k, h))
     alpha = 1.0 / h
     return EstimateResult(
         alpha=alpha,
@@ -560,8 +565,8 @@ def full_window_estimates(blocks: Iterable[np.ndarray], iterative: SolverConfig 
     # checks in the order the one-sample path meets them
     failures = (
         (~finite, DegenerateSampleError, "sample contains non-finite or non-positive values"),
-        ((excess == 0.0) | (span == 0.0), DegenerateSampleError,
-         "observations are all equal or have equal logs"),
+        ((excess <= 0.0) | (span == 0.0), DegenerateSampleError,
+         "Hill excess is not positive or X_l and X_r have equal logs"),
         (~np.isfinite(alpha_iterative), SolverFailureError, "iteration diverged"),
         (~((0.0 < y) & (y < 1.0)), DegenerateSampleError, "mean log outside (ln L, ln R)"),
         (~_has_root(y, config), SolverFailureError,
@@ -616,9 +621,10 @@ def hill_plot_series(sample: OrderedSample, r: int,
     window's Hill excess and mean log in O(1); the improved entries are then
     solved together in the Newton loop that :func:`solve_direct` runs on one
     root, with its seed, bracket, step and residual tests.
-    An entry is None exactly where the per-window estimators fail: tied top
-    values (Hill), X_l == X_r, a mean log outside (ln X_l, ln X_r), no root
-    within ``config.bracket_limit``, or no convergence within
+    An entry is None exactly where the per-window estimators fail: a Hill
+    excess that is not positive, as tied top values give (Hill), X_l == X_r,
+    a mean log outside (ln X_l, ln X_r), no root within
+    ``config.bracket_limit``, or no convergence within
     ``config.max_iterations`` steps.
     """
     n = len(sample)
@@ -628,7 +634,7 @@ def hill_plot_series(sample: OrderedSample, r: int,
     span, excess = (top_span, top_excess) if r == 1 else _window_excess(sample.values, r)
     hill_excess = top_excess[r - 1:]
     with np.errstate(divide="ignore"):
-        mu_hill = np.where(hill_excess == 0.0, np.nan, 1.0 / hill_excess + 1.0)
+        mu_hill = np.where(hill_excess <= 0.0, np.nan, 1.0 / hill_excess + 1.0)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         y = excess / span

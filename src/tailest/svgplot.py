@@ -4,6 +4,17 @@ Emits a fixed 600x400 chart with three polylines: the classical series
 (solid), the bounded-domain series (dotted) and the expected exponent
 (dashed horizontal).  The y range is clipped to robust percentiles because
 early-l classical estimates can be arbitrarily wild.
+
+Every coordinate is written as ``"%.2f" % v`` would write it, but for a
+whole polyline at once: with w = v * 100 and q = rint(w), the digits of q
+are laid into one byte buffer.  That is exact.  ``"%.2f"`` rounds the exact
+binary value of v to hundredths, that is 100 v to the nearest integer, ties
+to even.  The product w is 100 v correctly rounded; rounding is monotone
+and leaves every half-integer below 2^52 as it is, so w lies on the same
+side of each half-integer as 100 v, or on it.  So q is the integer nearest
+100 v unless w is itself a half-integer.  Such an entry, and any negative
+(also -0.0), non-finite or larger value (from 999.995 on, ``"%.2f"`` writes
+four integer digits), is formatted by ``"%.2f"`` itself.
 """
 
 from __future__ import annotations
@@ -29,9 +40,45 @@ def _percentile(sorted_vals: list[float], q: float) -> float:
     return sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac
 
 
+def _format_points(xs, ys) -> str:
+    """``" ".join("%.2f,%.2f" % p for p in zip(xs, ys))``, byte for byte."""
+    v = np.empty(2 * len(xs))
+    v[0::2] = xs
+    v[1::2] = ys
+    if not v.size:
+        return ""
+    with np.errstate(invalid="ignore"):
+        w = v * 100.0
+        q = np.rint(w)
+        exact = (np.abs(w - q) < 0.5) & (v < 999.995) & ~np.signbit(v)
+    q = np.where(exact, q, 0.0).astype(np.int32)
+    slow = np.flatnonzero(~exact).tolist()
+    texts = [("%.2f" % v[i]).encode("ascii") for i in slow]
+    # bytes per entry: 1-3 integer digits, '.', 2 decimals, then ',' or ' '
+    size = 5 + (q >= 1000) + (q >= 10000)
+    size[slow] = [len(text) + 1 for text in texts]
+    end = np.cumsum(size)
+    buf = np.empty(end[-1], np.uint8)
+    zero = ord("0")
+    buf[end - 2] = q % 10 + zero
+    buf[end - 3] = q // 10 % 10 + zero
+    buf[end - 4] = ord(".")
+    buf[end - 5] = q // 100 % 10 + zero
+    for offset, power in ((6, 1000), (7, 10000)):
+        wide = np.flatnonzero(q >= power)
+        buf[end[wide] - offset] = q[wide] // power % 10 + zero
+    # An entry shorter than 5 bytes ("nan,") had its third digit written one
+    # byte before it, onto the previous separator (for the first entry, onto
+    # the last byte), so the separators are written after the digits.
+    buf[end[0::2] - 1] = ord(",")
+    buf[end[1::2] - 1] = ord(" ")
+    for i, text in zip(slow, texts):
+        buf[end[i] - 1 - len(text):end[i] - 1] = np.frombuffer(text, np.uint8)
+    return buf[:-1].tobytes().decode("ascii")
+
+
 def _polyline(xs, ys, style: str) -> str:
-    coords = " ".join(["%.2f,%.2f" % point for point in zip(xs, ys)])
-    return '<polyline fill="none" %s points="%s"/>' % (style, coords)
+    return '<polyline fill="none" %s points="%s"/>' % (style, _format_points(xs, ys))
 
 
 def hill_plot_svg(series: HillPlotSeries, expected_mu: float,
@@ -61,7 +108,7 @@ def hill_plot_svg(series: HillPlotSeries, expected_mu: float,
         present = ~np.isnan(values)
         if not present.any():
             return []
-        return [_polyline(sx(l_values[present]).tolist(), sy(values[present]).tolist(), style)]
+        return [_polyline(sx(l_values[present]), sy(values[present]), style)]
 
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '

@@ -99,11 +99,21 @@ class TestEstimate:
         path.write_text("1.0\n2.0\n3.0\n")
         assert _run(["estimate", str(path), "--xmin", "2.5"]) == 4
 
+    def test_negative_hill_excess_exits_4(self, tmp_path, capsys):
+        # the mean log of these 13 values rounds below ln X_13
+        path = tmp_path / "near_ties.txt"
+        path.write_text("3.000000000000001\n" + "3.0\n" * 12)
+        assert _run(["estimate", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: top-13 observations: Hill excess .* is not positive\n",
+                            captured.err)
+
     def test_degenerate_sample_exits_4(self, tmp_path):
         path = tmp_path / "flat.txt"
         path.write_text("5.0\n5.0\n5.0\n")
         assert _run(["estimate", str(path)]) == 4
-        # distinct values whose logs tie pass the Hill check but not the solvers
+        # distinct values whose logs tie, and whose mean log rounds below them
         path.write_text("%r\n" % math.nextafter(3.0, 4.0) + "3.0\n" * 10)
         assert _run(["estimate", str(path)]) == 4
 
@@ -301,6 +311,28 @@ class TestSimulate:
             argv[argv.index(flag) + 1] = value
             assert _run(argv) == 2
             assert "error: %s must be >=" % flag in capsys.readouterr().err
+
+    def test_unresolved_grid_exits_2(self, tmp_path, capsys):
+        # power(5) on [3, 1e6]: the grid's first cell, [3, 103], holds all the mass
+        out = tmp_path / "s.txt"
+        assert _run(["simulate", "--dist", "power", "--mu", "5", "--dlow", "3",
+                     "--dhigh", "1e6", "--n", "100", "--seed", "1",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            "error: one cell of the 10000-point grid on [3, 1e+06] holds 100.0% of the "
+            "probability (at most 5%); raise --grid-points or narrow --dlow/--dhigh\n")
+
+    def test_every_builtin_scenario_resolves(self, tmp_path):
+        # the largest one-cell mass over every table row and figure is 0.0194 (row 1)
+        scenarios = [*experiments.TABLE_ROWS.values(), *experiments.FIGURE_EXAMPLES.values()]
+        for spec in (scenario.spec for scenario in scenarios):
+            flags = [arg for name, value in spec.params for arg in ("--" + name, repr(value))]
+            assert _run(["simulate", "--dist", DENSITIES[spec.kind].cli_name, *flags,
+                         "--dlow", repr(spec.d_low), "--dhigh", repr(spec.d_high),
+                         "--grid-points", str(spec.grid_points), "--n", "2", "--seed", "1",
+                         "--out", str(tmp_path / "s.txt")]) == 0, spec.describe()
 
     @pytest.mark.parametrize("kind", list(DENSITIES))
     def test_every_density_matches_library_draws(self, kind, tmp_path):

@@ -29,9 +29,13 @@ from tailest.estimator import (
 from tailest.experiments import FIGURE_EXAMPLES, ITER5_CONFIG, TABLE_ROWS
 from tailest.sampler import SampleRequest, draw, tabulate
 
-# eleven values on two adjacent floats whose logs tie: the Hill excess is
-# not 0 (the mean of the logs rounds), but ln X_l == ln X_r
+# eleven values on two adjacent floats whose logs tie: ln X_l == ln X_r, and
+# the mean of the logs rounds below them, to a Hill excess of -2.2e-16
 LOG_TIE = [math.nextafter(3.0, 4.0)] + [3.0] * 10
+# thirteen values two ulp apart: the mean of their logs rounds onto ln X_l
+# for the top 10 to 12 values and below it for all 13 (3.000000000000001 is
+# this float)
+ROUNDS_BELOW = [math.nextafter(math.nextafter(3.0, 4.0), 4.0)] + [3.0] * 12
 
 E = math.e
 
@@ -142,6 +146,16 @@ class TestHillEstimate:
         s = OrderedSample([7.3, 7.3, 7.3, 7.3, 2.0, 1.0])
         for k in (2, 3, 4):
             with pytest.raises(DegenerateSampleError):
+                hill_estimate(s, k)
+
+    def test_non_positive_excess(self):
+        # the mean log rounds onto ln X_k (k = 10..12) or below it (k = 13):
+        # no Hill exponent, where a negative one used to be reported
+        s = OrderedSample(ROUNDS_BELOW)
+        assert hill_estimate(s, 9).alpha > 0.0
+        for k in (10, 11, 12, 13):
+            with pytest.raises(DegenerateSampleError,
+                               match=r"^top-%d observations: Hill excess .* is not positive$" % k):
                 hill_estimate(s, k)
 
     @pytest.mark.parametrize("k", [0, 1, 4])
@@ -399,7 +413,7 @@ class TestSolveIterative:
     def test_divergence_names_its_step(self):
         # the mean log rounds below ln X_l, so no root exists and the ninth
         # unguarded step leaves the floats; the eighth is still finite
-        s = OrderedSample([math.nextafter(math.nextafter(3.0, 4.0), 4.0)] + [3.0] * 12)
+        s = OrderedSample(ROUNDS_BELOW)
         assert mean_log(s, full_window(s)) < s.log_values[-1]
         with pytest.raises(SolverFailureError, match="diverged at step 9$"):
             solve_iterative(s, full_window(s))
@@ -506,6 +520,19 @@ class TestHillPlotSeries:
         assert series.mu_improved[0] is None
         assert series.mu_hill[-1] is not None
         assert series.mu_improved[-1] is not None
+
+    def test_hill_entries_have_positive_excess(self):
+        # the sweep takes each Hill excess from exact differences to X_1, so it
+        # stays positive where the per-window mean log rounds to ln X_l or
+        # below; neither reports a Hill mu <= 1 (a negative alpha)
+        s = OrderedSample(ROUNDS_BELOW)
+        series = hill_plot_series(s, r=1)
+        for l, mu in zip(series.l_values, series.mu_hill):
+            assert mu is not None and mu > 1.0
+            try:
+                assert hill_estimate(s, l).mu > 1.0
+            except DegenerateSampleError:
+                assert l >= 10
 
     # The prefix-sum sweep against a loop of per-window estimates: the same
     # blank entries, and the same mu wherever ln(R/L) >= 1e-2 (narrower
@@ -644,6 +671,7 @@ class TestFullWindowEstimates:
         [[GOOD], [NO_ROOT, TIED]],
         [[GOOD[:4], GOOD[4:]], [TIED], [NO_ROOT]],
         [[LOG_TIE]],
+        [[ROUNDS_BELOW]],  # the Hill excess rounds below 0
     ])
     def test_rejects_like_one_sample_path(self, blocks):
         iterative, config = ITER5_CONFIG, SolverConfig(bracket_limit=5.0)
@@ -653,6 +681,12 @@ class TestFullWindowEstimates:
         with pytest.raises(EstimationError) as info:
             full_window_estimates([np.array(block) for block in blocks], iterative, config)
         assert type(info.value) is expected
+
+    def test_non_positive_hill_excess_is_degenerate(self):
+        # rejected as hill_estimate rejects it, before the iteration diverges
+        blocks = [np.array([self.GOOD]), np.array([ROUNDS_BELOW])]
+        with pytest.raises(DegenerateSampleError, match=r"^sample 2 of 2: Hill excess"):
+            full_window_estimates(blocks)
 
     def test_needs_blocks_of_samples(self):
         for blocks in ([], [np.array([3.0, 2.0])], [np.array([[3.0], [2.0]])]):

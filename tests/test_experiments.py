@@ -2,9 +2,10 @@ import io
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from tailest import experiments
+from tailest import experiments, svgplot
 from tailest.estimator import (
     EstimationError,
     HillPlotSeries,
@@ -294,3 +295,26 @@ class TestSvg:
             "45.00,333.04 249.00,333.35 351.00,333.66 453.00,333.35",
             "147.00,333.35 249.00,45.00 453.00,333.35 555.00,333.35",
         ]
+
+    @staticmethod
+    def _per_point(xs, ys):
+        """The formatter the byte kernel replaced: one "%.2f" per coordinate."""
+        xs = np.asarray(xs, dtype=float).tolist()
+        ys = np.asarray(ys, dtype=float).tolist()
+        return " ".join(["%.2f,%.2f" % point for point in zip(xs, ys)])
+
+    def test_matches_per_point_formatter(self, monkeypatch):
+        cases = [(res.series, res.expected_mu) for res in
+                 (run_figure(example, seed=1) for example in (14, 15, 16, 17))]
+        cases += [
+            (HillPlotSeries(l_values=[2, 3, 4, 5],
+                            mu_hill=[None, 3.0, 2.5, 2.4],
+                            mu_improved=[1.0, None, 1.1, 1.05]), 1.0),
+            (HillPlotSeries(l_values=[2, 3, 4, 5, 6, 7],
+                            mu_hill=[1e9, None, 3.0, -1e9, 2.5, None],
+                            mu_improved=[None, 2.0, 1e12, None, 2.25, 1.5]), 2.0),
+        ]
+        kernel = [hill_plot_svg(series, mu, title="t") for series, mu in cases]
+        monkeypatch.setattr(svgplot, "_format_points", self._per_point)
+        for (series, mu), text in zip(cases, kernel):
+            assert hill_plot_svg(series, mu, title="t") == text

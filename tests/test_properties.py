@@ -24,6 +24,7 @@ from tailest.estimator import (
     solve_iterative,
 )
 from tailest.sampler import DistributionSpec, SampleRequest, draw, tabulate
+from tailest.svgplot import _format_points
 
 
 def _raw_correction(a, low, high):
@@ -277,3 +278,37 @@ def test_correction_bound_exchange_and_scaling(delta, ln_low, span, ln_c):
     tol = 1e-12 * (1.0 + abs(ln_low) + abs(ln_low + span) + abs(ln_c) + 1.0 / abs(alpha))
     assert correction(alpha, high, low) == pytest.approx(base, abs=tol)
     assert correction(alpha, c * low, c * high) == pytest.approx(base + ln_c, abs=tol)
+
+
+# --------------------------------------------------------------------------
+# The SVG coordinate kernel against the per-point formatter it replaces.
+
+
+def _per_point(xs, ys):
+    return " ".join(["%.2f,%.2f" % point for point in zip(xs, ys)])
+
+
+@KERNEL_SETTINGS
+@given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1000.0, exclude_max=True),
+                          st.floats(min_value=0.0, max_value=1000.0, exclude_max=True)),
+                max_size=40))
+def test_format_points_matches_per_point_formatter(points):
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    assert _format_points(xs, ys) == _per_point(xs, ys)
+
+
+def test_format_points_ties_edges_and_fallbacks():
+    # k/200 is a tie in hundredths (exactly so only for some k); its float
+    # neighbours are near-ties
+    ties = np.arange(200_000) / 200.0
+    near = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+    # values "%.2f" writes with a sign, with four or more integer digits or
+    # as a word; nan first makes the buffer start with a 4-byte entry
+    edges = np.array([math.nan, 0.0, -0.0, 5e-324, 99.995, 999.995, 1000.0, 1e300,
+                      -5e-324, -0.005, -1.0, -999.99, math.inf, math.nan, -math.inf,
+                      np.nextafter(999.995, 0.0), np.nextafter(99.995, 0.0), 0.125, 0.375])
+    for xs, ys in ((near, near[::-1]), (edges, edges[::-1]), (edges[1:], edges[:-1]),
+                   ([], []), ([math.nan], [math.inf])):
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        assert _format_points(xs, ys) == _per_point(xs.tolist(), ys.tolist())
