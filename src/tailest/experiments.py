@@ -28,7 +28,7 @@ from .estimator import (
     full_window_estimates,
     hill_plot_series,
 )
-from .sampler import DistributionSpec, SampleRequest, draw, draw_block, tabulate
+from .sampler import DistributionSpec, SampleRequest, SeedStreams, draw, draw_block, tabulate
 
 __all__ = [
     "TABLE_ROWS",
@@ -230,26 +230,32 @@ def run_full_table(seeds: Sequence[int],
     """Run the given table rows (default all 13) for every seed.
 
     Results are ordered by row, then seed, each in the order given.  Each
-    row's grid is tabulated once, and its seeds are drawn in blocks of up
-    to 2^14 values: :func:`draw_block` gives every seed the sample ``draw``
-    would (each seed keeps its own generator, and since a draw depends on
-    its own uniform alone and the sample is sorted anyway, mapping the
-    uniforms in sorted order leaves it unchanged).
-    :func:`full_window_estimates` reduces each block as it is drawn and then
-    solves every cell of the table at once.  No cell depends on the cells
-    beside it: sigma, L, R, mu_hill, mu_iter5 and mu_direct are
-    bit-identical to the one-sample estimators, whose roots the same Newton
-    loop solves.  A cell those estimators reject raises their EstimationError
-    subclass, for the first such cell by row, then seed.  Unknown row ids
-    raise TableRowError before any work is done.
+    seed's generator is seeded once (:class:`SeedStreams`) and replayed for
+    every row.  Each row's grid is tabulated once, and its seeds are drawn
+    in blocks of up to 2^14 values: :func:`draw_block` gives every seed the
+    sample ``draw`` would, bit for bit.  :func:`full_window_estimates`
+    reduces each block as it is drawn and then solves every cell of the
+    table at once.  No cell depends on the cells beside it: sigma, L, R,
+    mu_hill, mu_iter5 and mu_direct are bit-identical to the one-sample
+    estimators, whose roots the same Newton loop solves.  A cell those
+    estimators reject raises their EstimationError subclass, for the first
+    such cell by row, then seed, naming it as "table row R, seed S".
+    Unknown row ids raise TableRowError before any work is done.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     check_table_rows(rows)
     entries = [TABLE_ROWS[row_id] for row_id in rows]
+    streams = SeedStreams(seeds)
+
+    def cell(i: int) -> str:
+        return "table row %d, seed %d" % (
+            entries[i // len(seeds)].row_id, seeds[i % len(seeds)])
+
     low, high, sigma, mu_hill, mu_iter5, mu_direct = (
         column.tolist()
-        for column in full_window_estimates(_draw_blocks(entries, seeds), ITER5_CONFIG))
+        for column in full_window_estimates(_draw_blocks(entries, streams), ITER5_CONFIG,
+                                            name=cell))
     cells = ((entry, seed) for entry in entries for seed in seeds)
     return [
         TableRowResult(
@@ -270,14 +276,14 @@ def run_full_table(seeds: Sequence[int],
     ]
 
 
-def _draw_blocks(entries: Sequence[TableRowSpec], seeds: Sequence[int]) -> Iterator[np.ndarray]:
+def _draw_blocks(entries: Sequence[TableRowSpec], streams: SeedStreams) -> Iterator[np.ndarray]:
     """Every entry's samples for the seeds, in order, in blocks of at most
     _BLOCK_VALUES draws (or one seed); each entry's grid is tabulated once."""
     for entry in entries:
         dist = tabulate(entry.spec)
         per_block = max(1, _BLOCK_VALUES // entry.n_rand)
-        for start in range(0, len(seeds), per_block):
-            yield draw_block(dist, entry.n_rand, seeds[start:start + per_block])
+        for start in range(0, len(streams), per_block):
+            yield draw_block(dist, entry.n_rand, streams[start:start + per_block])
 
 
 def run_figure(example_id: int, seed: int,

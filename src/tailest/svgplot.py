@@ -30,14 +30,17 @@ HEIGHT = 400
 MARGIN = 45
 
 
-def _percentile(sorted_vals: list[float], q: float) -> float:
-    if not sorted_vals:
+def _percentile(values: np.ndarray, q: float) -> float:
+    """The q-quantile of values, linear between the two order statistics
+    around position q * (n - 1); only those two are selected, not sorted."""
+    if not values.size:
         return 0.0
-    pos = q * (len(sorted_vals) - 1)
+    pos = q * (values.size - 1)
     lo = int(math.floor(pos))
-    hi = min(lo + 1, len(sorted_vals) - 1)
+    hi = min(lo + 1, values.size - 1)
     frac = pos - lo
-    return sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac
+    low, high = np.partition(values, (lo, hi))[[lo, hi]].tolist()
+    return low * (1.0 - frac) + high * frac
 
 
 def _format_points(xs, ys) -> str:
@@ -87,7 +90,7 @@ def hill_plot_svg(series: HillPlotSeries, expected_mu: float,
     l_values = np.asarray(series.l_values)
     # None entries become NaN and are left out of the range and the lines
     columns = [np.array(vs, dtype=float) for vs in (series.mu_hill, series.mu_improved)]
-    finite = np.sort(np.concatenate([v[~np.isnan(v)] for v in columns]), kind="stable").tolist()
+    finite = np.concatenate([v[~np.isnan(v)] for v in columns])
     y_lo = min(expected_mu, _percentile(finite, 0.02))
     y_hi = max(expected_mu, _percentile(finite, 0.98))
     pad = 0.08 * (y_hi - y_lo) or 1.0

@@ -312,6 +312,14 @@ class TestSimulate:
             assert _run(argv) == 2
             assert "error: %s must be >=" % flag in capsys.readouterr().err
 
+    def test_integral_outside_float_range_exits_2(self, capsys):
+        # x^100 is finite up to 1200, but its integral overflows
+        assert _run(["simulate", "--dist", "growth", "--exponent", "100", "--dlow", "1",
+                     "--dhigh", "1200", "--n", "100", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: density power_growth(exponent=100) on [1, 1200] integrates to inf "
+            "on the grid, outside the range of floats\n")
+
     def test_unresolved_grid_exits_2(self, tmp_path, capsys):
         # power(5) on [3, 1e6]: the grid's first cell, [3, 103], holds all the mass
         out = tmp_path / "s.txt"
@@ -361,6 +369,14 @@ class TestSimulate:
 
 
 class TestTable:
+    def test_degenerate_cell_names_row_and_seed_exit_4(self, tmp_path, capsys, monkeypatch):
+        # two draws on a domain one float wide tie or round onto a bound
+        spec = DistributionSpec.power(5.0, 3.0, math.nextafter(3.0, 4.0))
+        monkeypatch.setitem(experiments.TABLE_ROWS, 14,
+                            experiments.TableRowSpec(14, spec, 2, 5.0, True))
+        assert _run(["table", "--rows", "2,14", "--seeds", "3-4", "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err.startswith("error: table row 14, seed 3: ")
+
     def test_default_emits_13_rows(self, tmp_path):
         assert _run(["table", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "table.csv").read_text().strip().split("\n")

@@ -534,6 +534,23 @@ class TestHillPlotSeries:
             except DegenerateSampleError:
                 assert l >= 10
 
+    def test_near_tied_values_are_reported_where_windows_fail(self):
+        # the documented exception to "None where the per-window estimators
+        # fail": on values a few ulp apart the sweep's exact differences keep
+        # a positive excess that the per-window mean log rounds away
+        s = OrderedSample(ROUNDS_BELOW)
+        series = hill_plot_series(s, r=1)
+        assert series.l_values == list(range(2, 14))
+        assert all(mu is not None for mu in series.mu_hill + series.mu_improved)
+        for l, mu in zip(series.l_values, series.mu_hill):
+            if l >= 10:
+                assert 3.3e16 < mu < 4.4e16
+                with pytest.raises(DegenerateSampleError):
+                    hill_estimate(s, l)
+        for l in series.l_values:
+            with pytest.raises(DegenerateSampleError):
+                improved_estimate(s, TailWindow(l, 1))
+
     # The prefix-sum sweep against a loop of per-window estimates: the same
     # blank entries, and the same mu wherever ln(R/L) >= 1e-2 (narrower
     # windows are where the per-window path loses digits of the mean log).

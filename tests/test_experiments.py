@@ -165,6 +165,7 @@ class TestRunFullTable:
             with pytest.raises(EstimationError) as blocked:
                 run_full_table([seed], [2, 14])
             assert type(blocked.value) is type(scalar.value)
+            assert str(blocked.value).startswith("table row 14, seed %d: " % seed)
 
 
 class TestSummaries:
@@ -318,3 +319,26 @@ class TestSvg:
         monkeypatch.setattr(svgplot, "_format_points", self._per_point)
         for (series, mu), text in zip(cases, kernel):
             assert hill_plot_svg(series, mu, title="t") == text
+
+    @staticmethod
+    def _sorted_list_percentile(values, q):
+        """The percentile the selection replaced: read off a sorted list."""
+        ordered = sorted(np.asarray(values, dtype=float).tolist())
+        if not ordered:
+            return 0.0
+        pos = q * (len(ordered) - 1)
+        lo = int(math.floor(pos))
+        hi = min(lo + 1, len(ordered) - 1)
+        frac = pos - lo
+        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+    def test_percentile_matches_sorted_list(self):
+        rng = np.random.default_rng(61)
+        cases = [[], [2.5], [3.0, -1.0], [1.0] * 7 + [2.0] * 5]
+        cases += [rng.standard_cauchy(size) for size in (3, 50, 51, 1001, 64000)]
+        cases += [np.round(rng.normal(size=5000), 1)]  # many ties
+        for values in cases:
+            for q in (0.0, 0.02, 0.5, 0.98, 1.0):
+                got = svgplot._percentile(np.asarray(values, dtype=float), q)
+                assert got == self._sorted_list_percentile(values, q)
+                assert type(got) is float

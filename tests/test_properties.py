@@ -23,7 +23,7 @@ from tailest.estimator import (
     solve_direct,
     solve_iterative,
 )
-from tailest.sampler import DistributionSpec, SampleRequest, draw, tabulate
+from tailest.sampler import DistributionSpec, SampleRequest, _grid, _inverse_cdf, draw, tabulate
 from tailest.svgplot import _format_points
 
 
@@ -312,3 +312,28 @@ def test_format_points_ties_edges_and_fallbacks():
                    ([], []), ([math.nan], [math.inf])):
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         assert _format_points(xs, ys) == _per_point(xs.tolist(), ys.tolist())
+
+
+# --------------------------------------------------------------------------
+# The guide-table inverse CDF against np.interp on random positive pdfs,
+# including ones spanning hundreds of decades (flat and overflowing cells).
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=2, max_value=3000),
+       st.floats(min_value=0.0, max_value=300.0), st.floats(min_value=1e-300, max_value=1e100),
+       st.floats(min_value=1e-12, max_value=1e6))
+def test_inverse_cdf_equals_interp_on_random_pdfs(seed, points, decades, low, width):
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(low, low + width * max(low, 1.0), points)
+    if not np.all(np.diff(xs) > 0.0):
+        return
+    pdf = 10.0 ** rng.uniform(-decades, 0.0, points)  # keeps the CDF's total finite
+    dist = _grid(xs, pdf, "random")
+    cdf = dist.cdf
+    u = np.concatenate([cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0),
+                        [0.0, 1.0 - 2.0 ** -53], rng.random(2000)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    expected = np.sort(np.interp(u, cdf, dist.xs), kind="stable")
+    got = _inverse_cdf(dist, u.copy())
+    assert np.array_equal(np.sort(got, kind="stable"), expected)

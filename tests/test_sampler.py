@@ -9,6 +9,9 @@ from tailest.sampler import (
     DistributionSpec,
     DistributionSpecError,
     SampleRequest,
+    SeedStreams,
+    _grid,
+    _inverse_cdf,
     draw,
     draw_block,
     sigma_statistic,
@@ -20,6 +23,32 @@ BUILT_IN_SAMPLES = ([(row.spec, row.n_rand) for row in TABLE_ROWS.values()]
                     + [(fig.spec, fig.n_rand) for fig in FIGURE_EXAMPLES.values()])
 
 E = math.e
+
+# Grids with flat CDF cells: all the mass in the first cells, or a domain one
+# float wide.  The last has cells whose slope overflows (the CDF rises by
+# subnormal steps), where np.interp takes its special branch on a node.
+FLAT_GRIDS = [
+    DistributionSpec.power(5.0, 3.0, 1e6),
+    DistributionSpec.power(60.0, 1.0, 1e4),
+    DistributionSpec.power(5.0, 3.0, math.nextafter(3.0, 4.0)),
+    DistributionSpec.power_growth(1070.0, 0.5, 1.0),
+]
+
+
+def node_uniforms(cdf, seed=0, n=20000):
+    """0, every CDF node, both float neighbours of each, 1 - 2^-53 and
+    random uniforms, clipped to [0, 1)."""
+    u = np.concatenate([cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0),
+                        [0.0, 1.0 - 2.0 ** -53], np.random.default_rng(seed).random(n)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def assert_interp_bits(dist, u):
+    expected = np.interp(u, dist.cdf, dist.xs)
+    got = _inverse_cdf(dist, u.copy())  # sorts its argument
+    order = np.argsort(u, kind="stable")
+    assert np.array_equal(got, expected[order])
+    assert np.array_equal(np.signbit(got), np.signbit(expected[order]))
 
 
 class TestDistributionSpec:
@@ -91,6 +120,14 @@ class TestTabulate:
         # x^-5 blows up at 0
         with pytest.raises(DistributionSpecError):
             tabulate(DistributionSpec.power(5.0, 0.0, 1.0))
+
+    def test_integral_outside_float_range_rejected(self):
+        # x^100 stays below 1.8e308 up to 1200, but its integral overflows
+        with pytest.raises(DistributionSpecError, match="integrates to inf"):
+            tabulate(DistributionSpec.power_growth(100.0, 1.0, 1200.0))
+        # x^-32 is subnormal near 1e10, and every trapezoid of width 1e-4 underflows
+        with pytest.raises(DistributionSpecError, match="integrates to 0.0"):
+            tabulate(DistributionSpec.power(32.0, 1e10, 1e10 + 1))
 
     def test_grid_shape(self):
         spec = DistributionSpec.sqrt_inv(3.0, 1500.0, grid_points=4321)
@@ -172,6 +209,96 @@ class TestDraw:
             assert np.array_equal(draw(dist, SampleRequest(n, seed)).values, expected)
 
 
+class TestInverseCdf:
+    @pytest.mark.parametrize("spec", [spec for spec, _ in BUILT_IN_SAMPLES] + FLAT_GRIDS)
+    def test_equals_interp_bit_for_bit(self, spec):
+        dist = tabulate(spec)
+        assert_interp_bits(dist, node_uniforms(dist.cdf))
+
+    @pytest.mark.parametrize("grid_points", [1000, 100000])
+    @pytest.mark.parametrize("maker", [
+        lambda gp: DistributionSpec.power(5.0, 3.0, 150.0, grid_points=gp),
+        lambda gp: DistributionSpec.sqrt_inv(3.0, 15000.0, grid_points=gp),
+        lambda gp: DistributionSpec.power(60.0, 1.0, 1e4, grid_points=gp),
+    ])
+    def test_grid_sizes(self, maker, grid_points):
+        dist = tabulate(maker(grid_points))
+        assert dist.guide.size == 1 << (grid_points - 1).bit_length()
+        assert_interp_bits(dist, node_uniforms(dist.cdf))
+
+    def test_nodes_with_overflowing_slope_go_to_interp(self):
+        # on these nodes numpy's formula gives inf * 0 = nan, np.interp the node
+        dist = tabulate(FLAT_GRIDS[-1])
+        rises = np.flatnonzero(np.diff(dist.cdf) > 0.0)
+        steep = rises[~np.isfinite(dist.slope[rises])]
+        assert steep.size > 100
+        u = dist.cdf[steep]
+        assert np.array_equal(_inverse_cdf(dist, u.copy()), dist.xs[steep])
+        assert_interp_bits(dist, u)
+
+    def test_node_branch_keeps_the_sign_of_zero(self):
+        # np.interp returns the node itself on a node: -0.0 here, where
+        # numpy's formula would give 0 * slope + -0.0 = 0.0
+        dist = _grid(np.array([-0.0, 1.0, 2.0]), np.ones(3), "flat")
+        assert_interp_bits(dist, np.array([0.0, 0.25, 0.5, 0.75]))
+        assert np.signbit(_inverse_cdf(dist, np.array([0.0]))[0])
+
+    def test_outside_unit_interval_matches_interp(self):
+        dist = tabulate(DistributionSpec.power(5.0, 3.0, 150.0))
+        for extra in ([-5e-324], [1.0], [1.0 + 2.0 ** -52], [-1.0, 2.0]):
+            assert_interp_bits(dist, np.concatenate([extra, node_uniforms(dist.cdf)]))
+
+    def test_guide_table(self):
+        for spec in [spec for spec, _ in BUILT_IN_SAMPLES] + FLAT_GRIDS:
+            dist = tabulate(spec)
+            m = dist.guide.size
+            assert m >= dist.cdf.size and m & (m - 1) == 0
+            assert dist.guide.dtype == np.int32
+            expected = np.searchsorted(dist.cdf, np.arange(m) / m, side="right") - 1
+            assert np.array_equal(dist.guide, expected)
+
+    @pytest.mark.parametrize("spec, n", BUILT_IN_SAMPLES)
+    def test_few_uniforms_need_a_binary_search(self, spec, n, monkeypatch):
+        # the guide table and one forward step place all but a few percent
+        # of the uniforms of every built-in grid
+        searched = []
+
+        def counting(a, v, **kwargs):
+            searched.append(len(v))
+            return real(a, v, **kwargs)
+
+        real = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", counting)
+        dist = tabulate(spec)
+        draw_block(dist, n, range(20))
+        assert sum(searched) <= 0.05 * 20 * n
+
+
+class TestSeedStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32, 2 ** 64 + 5, 10 ** 30])
+    def test_restored_state_replays_default_rng(self, seed):
+        streams = SeedStreams([7, seed, seed])
+        out = np.empty((3, 1000))
+        streams.fill(out)
+        expected = np.random.default_rng(seed).random(1000)
+        assert np.array_equal(out[1], expected)
+        assert np.array_equal(out[2], expected)
+        assert np.array_equal(out[0], np.random.default_rng(7).random(1000))
+
+    def test_slices_replay_their_own_seeds(self):
+        streams = SeedStreams(range(10))
+        part = streams[3:6]
+        assert part.seeds == (3, 4, 5) and len(part) == 3 and len(streams) == 10
+        out = np.empty((3, 50))
+        part.fill(out)
+        for row, seed in zip(out, part.seeds):
+            assert np.array_equal(row, np.random.default_rng(seed).random(50))
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed >= 0"):
+            SeedStreams([1, -1])
+
+
 class TestDrawBlock:
     @pytest.mark.parametrize("spec, n", BUILT_IN_SAMPLES)
     def test_rows_equal_draws(self, spec, n):
@@ -181,6 +308,7 @@ class TestDrawBlock:
         assert block.shape == (len(seeds), n)
         for row, seed in zip(block, seeds):
             assert np.array_equal(row, draw(dist, SampleRequest(n, seed)).values)
+        assert np.array_equal(draw_block(dist, n, SeedStreams([0] + seeds)[1:]), block)
 
     def test_request_validation(self):
         dist = tabulate(DistributionSpec.power(5.0, 3.0, 4.0))
