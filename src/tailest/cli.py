@@ -10,6 +10,7 @@ goes to stdout or to files under --out.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import math
 import os
@@ -62,9 +63,12 @@ def _fmt(x: float) -> str:
     return "%.4g" % x
 
 
-# Characters of text per block of lines that the plain reader converts in
-# one call; about 55,000 lines of 17-digit values.
-_BLOCK_CHARS = 1 << 20
+# Bytes of input per block of lines that the plain reader converts in one
+# call; about 6,900 lines of 17-digit values, so that each per-line array
+# of the block stays below glibc's 128 KiB mmap threshold.  At 1 MiB every
+# such array was mapped afresh, and the page faults doubled the reader's
+# time in some runs.
+_BLOCK_BYTES = 1 << 17
 
 
 def _read_values(path: str, column: str | None) -> np.ndarray:
@@ -72,17 +76,20 @@ def _read_values(path: str, column: str | None) -> np.ndarray:
 
     The input is UTF-8 text, with or without a leading byte-order mark, and
     is read once from start to end without seeking, so a pipe such as
-    /dev/stdin works.  Lines starting with '#' and blank lines are skipped
-    in plain mode, empty cells in column mode.  Non-numeric and non-finite
-    values abort with exit code 2, non-positive values with exit code 3,
-    each naming the offending line; input that is not UTF-8 aborts with
-    exit code 2.
+    /dev/stdin works.  Lines end at \\n, \\r\\n or \\r.  Lines starting with '#'
+    and blank lines are skipped in plain mode, empty cells in column mode.
+    Non-numeric and non-finite values abort with exit code 2, non-positive
+    values with exit code 3, each naming the offending line; input that is
+    not UTF-8 aborts with exit code 2.  Every value is float() of its line
+    or cell, bit for bit: see _read_lines for how plain input gets there
+    without a float() call per line.
     """
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            if column is None:
+        if column is None:
+            with open(path, "rb") as fh:
                 values = _read_lines(path, fh)
-            else:
+        else:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 reader = csv.DictReader(fh)
                 if reader.fieldnames is None or column not in reader.fieldnames:
                     raise _CliError(2, "%s: no column named %r" % (path, column))
@@ -102,28 +109,96 @@ def _read_values(path: str, column: str | None) -> np.ndarray:
 
 
 def _read_lines(path: str, fh) -> np.ndarray:
-    """Convert each block of lines in one call, and only a block where that
-    fails or yields a value outside (0, inf) line by line.
+    """The values of a binary file of lines, converted a block at a time.
 
-    If float(line) succeeds it equals float(line.strip()), so a block that
-    converts in one call holds exactly the values the line loop gives it.
+    A block goes through _decimals.parse_lines, which converts every plain
+    decimal line of up to 19 digits in one numpy kernel and proves each
+    result equal to float(line), bit for bit (see that module for the
+    argument).  Only the lines it leaves unproven -- a sign, blank, space,
+    '#', '_', non-ASCII digits, more than 19 digits, an exponent out of
+    range, or a value too near a rounding boundary -- are converted by
+    float(), all of a block's at once, and through _checked, which skips
+    blank and '#' lines and reports every error, where that fails.  After a
+    block of mostly such lines, the next blocks skip the kernel and convert
+    every line so, but every 16th block tries the kernel again.  Lines end
+    at \\n, \\r\\n or \\r, as in text mode, and a block that is not UTF-8
+    fails before any of its lines is converted.
     """
+    from . import _decimals  # here, not at module load: only estimate reads lines
+
     blocks = []
     first = 1  # line number of the block's first line
-    while True:
-        lines = fh.readlines(_BLOCK_CHARS)
-        if not lines:
-            break
-        try:
-            block = np.fromiter(map(float, lines), float, count=len(lines))
-        except ValueError:
-            block = None
-        if block is None or not np.all((block > 0.0) & (block < math.inf)):
-            cells = enumerate(lines, start=first)
-            block = np.array(_checked(path, cells, comments=True), dtype=float)
-        blocks.append(block)
-        first += len(lines)
+    kernel = True
+    for index, block in enumerate(_line_blocks(fh)):
+        if not block.isascii():
+            block.decode("utf-8")  # UnicodeDecodeError if it is not UTF-8
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if kernel or index % 16 == 0:
+            ends, values, proven = _decimals.parse_lines(block)
+            unproven = np.flatnonzero(~proven)
+            kernel = 2 * unproven.size <= len(ends)
+        else:
+            values = np.empty(block.count(b"\n"))
+            unproven = np.arange(len(values))
+        lines = len(values)
+        if unproven.size:
+            values = _convert_unproven(path, block, first, values, unproven)
+        blocks.append(values)
+        first += lines
     return np.concatenate(blocks) if blocks else np.empty(0)
+
+
+def _convert_unproven(path: str, block, first: int, values: np.ndarray,
+                      unproven: np.ndarray) -> np.ndarray:
+    """values with each unproven line of the block set to float() of its text,
+    and the lines _checked skips left out; exits on the first bad line.
+
+    If float(text) succeeds it equals float(text.strip()), so where every
+    unproven line converts to a positive finite number in one call, the
+    result is what _checked would give.
+    """
+    texts = block.decode("utf-8").split("\n")[:-1]  # the block ends with a line end
+    every_line = len(unproven) == len(texts)
+    if not every_line:
+        texts = [texts[i] for i in unproven.tolist()]
+    try:
+        found = np.fromiter(map(float, texts), float, count=len(texts))
+    except ValueError:  # a blank, '#' or bad line
+        found = None
+    if found is not None and np.all((found > 0.0) & (found < math.inf)):
+        values[unproven] = found
+        return values
+    if every_line:
+        return np.array(_checked(path, enumerate(texts, start=first), comments=True), dtype=float)
+    keep = np.ones(len(values), bool)
+    for i, text in zip(unproven.tolist(), texts):
+        checked = _checked(path, [(first + i, text)], comments=True)
+        if checked:
+            values[i] = checked[0]
+        else:
+            keep[i] = False
+    return values[keep]
+
+
+def _line_blocks(fh):
+    """Blocks of about _BLOCK_BYTES of a binary file, each cut after its last
+    complete line end and ending with one, without a leading UTF-8
+    byte-order mark.  A line longer than a block makes the block longer."""
+    pending = bytearray()
+    data = fh.read(_BLOCK_BYTES)
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8):]
+    while data:
+        # a \r at the end of the read may be the first half of a \r\n
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        pending += data[:cut] if cut else data
+        if cut:
+            yield pending
+            pending = bytearray(data[cut:])
+        data = fh.read(_BLOCK_BYTES)
+    if pending:
+        yield pending + b"\n"
 
 
 def _checked(path: str, cells, comments: bool) -> list[float]:

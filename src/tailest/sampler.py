@@ -308,9 +308,9 @@ def draw_block(dist: GridDistribution, n: int,
     Row i holds ``draw(dist, SampleRequest(n, seeds[i])).values`` bit for
     bit, in descending order and C-contiguous, as OrderedSample holds it:
     each seed draws its n uniforms from its own PCG64 stream, and the block
-    is mapped and sorted in one call each.  ``seeds`` may be a
-    :class:`SeedStreams`, so that a caller drawing the same seeds on many
-    grids seeds each of them once.
+    is mapped in one call.  ``seeds`` may be a :class:`SeedStreams`, so
+    that a caller drawing the same seeds on many grids seeds each of them
+    once.
     """
     _check_draws(n)
     streams = seeds if isinstance(seeds, SeedStreams) else SeedStreams(seeds)
@@ -318,7 +318,20 @@ def draw_block(dist: GridDistribution, n: int,
     streams.fill(u)
     values = _inverse_cdf(dist, u)
     del u  # at most two block-sized arrays live at once
-    values.sort(axis=1)
+    return _descending_rows(values)
+
+
+def _descending_rows(values: np.ndarray) -> np.ndarray:
+    """The rows of values in descending order, as a new C-contiguous array.
+
+    Mapped from sorted uniforms, a row is ascending unless rounding at a
+    cell boundary inverted a pair, which none of the 3,900 rows of the 13
+    table scenarios over seeds 1-300 does; so only rows that fail the order
+    check (NaN included) are sorted, in place.
+    """
+    unsorted = np.flatnonzero(~(values[:, 1:] >= values[:, :-1]).all(axis=1))
+    if unsorted.size:
+        values[unsorted] = np.sort(values[unsorted], axis=1)
     return values[:, ::-1].copy()
 
 

@@ -5,11 +5,14 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tailest import cli, experiments
+from tailest import _decimals, cli, experiments
 from tailest.sampler import DENSITIES, DistributionSpec, SampleRequest, draw, tabulate
 
 E = math.e
@@ -146,7 +149,9 @@ OUT_3 = ("n 3  window l=3 r=1 (k=3)\nbounds L=1.5 R=3.5\nmean_log 0.8582\n"
          "improved-iterative mu=0.5129 alpha=-0.4871 iterations=5 converged=yes\n")
 
 # (input text, --column or None, exit code, stdout, stderr with {path}),
-# pinned from the line-by-line reader that the block reader replaced.
+# pinned from the line-by-line reader that the block reader replaced; the
+# CRLF, lone-CR and line-separator cases from the block reader before the
+# decimal kernel.
 PARITY = {
     "header_and_inner_blank": ("# observations\n1.5\n\n2.5\n  \n3.5\n", None, 0, OUT_3, ""),
     "trailing_blank_lines": ("1.5\n2.5\n3.5\n\n\n", None, 0, OUT_3, ""),
@@ -175,6 +180,14 @@ PARITY = {
     "bad_line_past_first_block": (
         _values_past_first_block(300_000) + "banana\n2.5\n", None, 2, "",
         "error: {path}:300001: not a number: 'banana'\n"),
+    "bad_line_past_first_block_crlf": (
+        _values_past_first_block(300_000).replace("\n", "\r\n") + "banana\r\n2.5\r\n", None, 2,
+        "", "error: {path}:300001: not a number: 'banana'\n"),
+    "bad_line_past_first_block_lone_cr": (
+        _values_past_first_block(300_000).replace("\n", "\r") + "banana\r2.5\r", None, 2, "",
+        "error: {path}:300001: not a number: 'banana'\n"),
+    "line_separator": ("1.5\u20282.5\n3.5\n", None, 2, "",
+                       "error: {path}:1: not a number: '1.5\\u20282.5'\n"),
     "zero_past_first_block": (
         _values_past_first_block(300_000) + "0\n2.5\n", None, 3, "",
         "error: {path}:300001: non-positive value '0'\n"),
@@ -186,6 +199,54 @@ PARITY = {
     "column_zero_cell": ("name,value\na,1.5\nb, 0 \nc,2.5\n", "value", 3, "",
                          "error: {path}:3: non-positive value '0'\n"),
 }
+
+
+# Lines for the reader's bit-for-bit property: every shape of decimal the
+# fast path takes or hands back, the integers and binary midpoints where its
+# 2**63 guard and rounding proof decide, and lines it leaves to float().
+_DIGITS = st.text("0123456789", min_size=1, max_size=25)
+
+
+@st.composite
+def _decimal_lines(draw):
+    digits = draw(st.text("0", max_size=3)) + draw(_DIGITS)  # with leading zeros
+    dot = draw(st.none() | st.integers(0, len(digits)))  # '1.' and '.5' included
+    text = digits if dot is None else digits[:dot] + "." + digits[dot:]
+    if draw(st.booleans()):
+        text += (draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+                 + draw(st.text("0123456789", min_size=1, max_size=3)))
+    return text
+
+
+@st.composite
+def _binary_midpoints(draw):
+    """A number halfway between two neighbouring doubles, in at most 19 digits,
+    scaled by a power of ten that the exponent undoes."""
+    x = draw(st.integers(2 ** 53, 2 ** 57) | st.integers(2 ** 53, 2 ** 63 - 1))  # 16-19 digits
+    step = 1 << (x.bit_length() - 53)  # the spacing of doubles at x
+    digits = str(x - x % step + step // 2)
+    pad = draw(st.integers(0, 19 - len(digits)))
+    return digits + "0" * pad + "e-%d" % pad
+
+
+_LINES = st.one_of(
+    _decimal_lines(),
+    st.builds(lambda k, d: str(2 ** k + d), st.sampled_from([53, 63]), st.integers(-2048, 2048)),
+    _binary_midpoints(),
+    st.builds(lambda fmt, v: fmt % v, st.sampled_from(["%.17g", "%r", "%.6e"]),
+              st.floats(1e-291, 1e-289) | st.floats(1e289, 1e291)),
+    st.sampled_from([" 7 ", "+2.5", "1_000.5", "9_9e-1_0", "# note", "", "\t3e2",
+                     "\u0661\u0662"]),
+)
+
+
+def _readable(text: str) -> bool:
+    """Whether the reader accepts the line: a positive finite number, a blank
+    or a comment."""
+    try:
+        return 0.0 < float(text) < math.inf
+    except ValueError:
+        return not text.strip() or text.strip().startswith("#")
 
 
 def _estimate(path, capsys, *flags):
@@ -221,6 +282,29 @@ class TestReader:
         csv_path.write_text("value\n" + "\n".join(lines[:1000]) + "\n", encoding="utf-8")
         column = cli._read_values(str(csv_path), "value")
         assert column.tobytes() == expected[:1000].tobytes()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(lines=st.lists(_LINES.filter(_readable), max_size=40),
+           end=st.sampled_from(["\n", "\r\n", "\r"]), last_end=st.booleans(),
+           block=st.integers(1, 64))
+    def test_values_bit_equal_to_float_per_line(self, tmp_path_factory, lines, end,
+                                                last_end, block):
+        # small blocks put block cuts inside and between the lines
+        lines = lines + ["1.5", "2.5"]
+        path = tmp_path_factory.getbasetemp() / "property.txt"
+        path.write_bytes((end.join(lines) + (end if last_end else "")).encode("utf-8"))
+        with mock.patch.object(cli, "_BLOCK_BYTES", block):
+            values = cli._read_values(str(path), None)
+        expected = [float(t) for t in lines if t.strip() and not t.strip().startswith("#")]
+        assert values.tobytes() == np.array(expected).tobytes()
+
+    def test_rounding_proof_rejects_midpoints_and_powers_of_two(self):
+        # s + t stands for w * 10**q up to 2**-100 * s; below a power of two
+        # the spacing halves, so even -0.3 spacings may round down
+        s = np.array([1.5, 1.5, 1.5, 3.0, 2.0, 2.0, 2.0])
+        t = np.array([0.49, 0.5, -0.5, -0.49, 0.0, -0.3, 0.3]) * np.spacing(s)
+        assert _decimals._rounding_proven(s, t).tolist() == [
+            True, False, False, True, False, False, False]
 
     def test_pipe_matches_file(self, tmp_path, capsys):
         simulate = ["simulate", "--dist", "power", "--mu", "5", "--dlow", "3",

@@ -10,6 +10,7 @@ from tailest.sampler import (
     DistributionSpecError,
     SampleRequest,
     SeedStreams,
+    _descending_rows,
     _grid,
     _inverse_cdf,
     draw,
@@ -309,6 +310,13 @@ class TestDrawBlock:
         for row, seed in zip(block, seeds):
             assert np.array_equal(row, draw(dist, SampleRequest(n, seed)).values)
         assert np.array_equal(draw_block(dist, n, SeedStreams([0] + seeds)[1:]), block)
+
+    def test_tail_sorts_a_row_out_of_order(self):
+        rows = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], [1.0, 1.5, 1.5, 2.0]])
+        rows[1, 2] = np.nextafter(rows[1, 1], 0.0)  # one ulp below its left neighbour
+        expected = -np.sort(-rows, axis=1)
+        out = _descending_rows(rows)
+        assert np.array_equal(out, expected) and out.flags.c_contiguous
 
     def test_request_validation(self):
         dist = tabulate(DistributionSpec.power(5.0, 3.0, 4.0))
