@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 2 unreadable input (including text that is not
 UTF-8, a malformed CSV record and a non-numeric or non-finite value) or
-invalid configuration, 3 non-positive observation in an input file, 4
-degenerate window or failed estimation.  Diagnostics go to stderr; data
-goes to stdout or to files under --out.
+invalid configuration (including --l/--r flags that select no window and a
+simulate --n above 10^7 draws), 3 non-positive observation in an input
+file, 4 degenerate window (including one beyond the sample) or failed
+estimation.  Diagnostics go to stderr; data goes to stdout or to files
+under --out.
 """
 
 from __future__ import annotations
@@ -258,6 +260,10 @@ def _ids(ranges: list[range]) -> list[int]:
 # before any seed list is built.
 _MAX_SEEDS = 100_000
 
+# The most draws one simulate command may ask for; checked before any array
+# is built.  simulate peaks at about 120 MB per 10^6 draws.
+_MAX_DRAWS = 10**7
+
 
 def _at_least(value: int, low: int, flag: str) -> int:
     """Return value, or exit 2 naming the flag if it is below low."""
@@ -276,6 +282,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             raise _CliError(2, "%s must be a number, got nan" % flag)
     if args.xmin is not None and args.xmax is not None and args.xmin > args.xmax:
         raise _CliError(2, "--xmin %r is greater than --xmax %r" % (args.xmin, args.xmax))
+    # a window needs 1 <= r < l; only l beyond the sample depends on the data
+    if args.l is not None:
+        _at_least(args.l, 2, "--l")
+    if args.r is not None:
+        _at_least(args.r, 1, "--r")
+        if args.l is not None and args.r >= args.l:
+            raise _CliError(2, "--r %d must be below --l %d" % (args.r, args.l))
     values = _read_values(args.file, args.column)
     if args.xmin is not None:
         values = values[values >= args.xmin]
@@ -337,6 +350,10 @@ _MAX_CELL_MASS = 0.05
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
+    n = _at_least(args.n, 2, "--n")
+    if n > _MAX_DRAWS:
+        raise _CliError(2, "--n asks for %d draws (at most %d)" % (n, _MAX_DRAWS))
+    seed = _at_least(args.seed, 0, "--seed")
     dist = tabulate(spec)
     cell_mass = float(np.max(np.diff(dist.cdf)))
     if cell_mass > _MAX_CELL_MASS:
@@ -344,9 +361,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                         "probability (at most %g%%); raise --grid-points or narrow "
                         "--dlow/--dhigh" % (spec.grid_points, spec.d_low, spec.d_high,
                                            100 * cell_mass, 100 * _MAX_CELL_MASS))
-    request = SampleRequest(n=_at_least(args.n, 2, "--n"),
-                            seed=_at_least(args.seed, 0, "--seed"))
-    sample = draw(dist, request)
+    sample = draw(dist, SampleRequest(n=n, seed=seed))
     lines = "\n".join(str(v) for v in sample.values) + "\n"
     summary = "n %d  sigma %s  L %s  R %s" % (
         len(sample), _fmt(sigma_statistic(sample)),

@@ -37,8 +37,6 @@ __all__ = [
     "SolverFailureError",
     "OrderedSample",
     "TailWindow",
-    "SolverConfig",
-    "DEFAULT_CONFIG",
     "EstimateResult",
     "HillPlotSeries",
     "mean_log",
@@ -141,36 +139,20 @@ def _check_window(sample: OrderedSample, window: TailWindow) -> None:
             "window l=%d exceeds sample length %d" % (window.l, len(sample)))
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Numerical knobs shared by the direct and iterative solvers.
+# Solver settings.  Both solvers work in delta = alpha * ln(R/L) and measure
+# residuals of the mean-log equation in units of ln(R/L), so every setting is
+# scale-free: the same values serve a domain [3, 3.000001] and a domain
+# [1e-300, 1e300].
 
-    Both solvers work in delta = alpha * ln(R/L) and measure residuals of the
-    mean-log equation in units of ln(R/L), so every knob is scale-free: the
-    same settings serve a domain [3, 3.000001] and a domain [1e-300, 1e300].
-    """
-
-    # a Newton step in delta below this, relative to max(1, |delta|), ends the solve
-    alpha_tolerance: float = 1e-10
-    # converged also needs |G(alpha) - mean_log| / ln(R/L) at most this, at the
-    # iterate the final step was taken from
-    residual_tolerance: float = 1e-10
-    # Newton steps (iterative); Newton or bisection steps (direct)
-    max_iterations: int = 100
-    # the direct solver looks for the root only within |alpha * ln(R/L)| <= this
-    bracket_limit: float = 1e4
-
-    def __post_init__(self):
-        # written so that NaN fails them too
-        if not (self.alpha_tolerance > 0 and self.residual_tolerance > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not self.bracket_limit > 0:
-            raise ValueError("bracket_limit must be positive")
-
-
-DEFAULT_CONFIG = SolverConfig()
+# a Newton step in delta below this, relative to max(1, |delta|), ends the solve
+_STEP_TOLERANCE = 1e-10
+# converged also needs |G(alpha) - mean_log| / ln(R/L) at most this, at the
+# iterate the final step was taken from
+_RESIDUAL_TOLERANCE = 1e-10
+# the direct solver looks for the root only within |alpha * ln(R/L)| <= this
+_BRACKET_LIMIT = 1e4
+# Newton or bisection steps of the direct solver; the iterative solvers' default
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -352,40 +334,39 @@ def gfun(alpha: float, L: float, R: float) -> float:
 # sweep, so the three cannot drift apart.
 
 
-def _has_root(y: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """Where y lies in (0, 1) with its root inside |delta| <= config.bracket_limit."""
+def _has_root(y: np.ndarray) -> np.ndarray:
+    """Where y lies in (0, 1) with its root inside |delta| <= _BRACKET_LIMIT."""
     # g(-d) = 1 - g(d): the root lies in the bracket iff min(y, 1-y) >= g(limit)
-    g_limit = _kernel_array(np.array([config.bracket_limit]))[0]
+    g_limit = _kernel_array(np.array([_BRACKET_LIMIT]))[0]
     return (0.0 < y) & (y < 1.0) & (np.minimum(y, 1.0 - y) >= g_limit)
 
 
-def _solve_windows(y: np.ndarray, span: np.ndarray, config: SolverConfig,
+def _solve_windows(y: np.ndarray, span: np.ndarray, max_iterations: int,
                    seed: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Solve g(delta) = y for every entry at once: alpha = delta / span, a
     converged mask and the Newton steps taken by each entry.
 
     Without a seed the steps are safeguarded: from 1/y - 1/(1-y), inside a
-    bracket that starts at |delta| <= ``config.bracket_limit``, so every
-    entry must pass :func:`_has_root`; a step leaving the bracket becomes a
-    bisection.  Given a seed (the starting deltas) they are unguarded, and
-    an entry stops at the first step whose iterate is non-finite, with a
-    non-finite alpha.  Each entry also stops once a step in delta is at most
-    ``config.alpha_tolerance`` relative to max(1, |delta|), and is converged
-    if its residual, in units of ln(R/L), was at most
-    ``config.residual_tolerance`` at the iterate that step was taken from.
-    One still going after ``config.max_iterations`` steps keeps its last
-    iterate, unconverged.
+    bracket that starts at |delta| <= _BRACKET_LIMIT, so every entry must
+    pass :func:`_has_root`; a step leaving the bracket becomes a bisection.
+    Given a seed (the starting deltas) they are unguarded, and an entry
+    stops at the first step whose iterate is non-finite, with a non-finite
+    alpha.  Each entry also stops once a step in delta is at most
+    _STEP_TOLERANCE relative to max(1, |delta|), and is converged if its
+    residual, in units of ln(R/L), was at most _RESIDUAL_TOLERANCE at the
+    iterate that step was taken from.  One still going after
+    ``max_iterations`` steps keeps its last iterate, unconverged.
     """
     guarded = seed is None
     alpha = np.empty(y.size)
     converged = np.zeros(y.size, dtype=bool)
-    steps = np.full(y.size, config.max_iterations)
+    steps = np.full(y.size, max_iterations)
     todo = np.arange(y.size)
-    lo = np.full(y.size, -config.bracket_limit)
-    hi = np.full(y.size, config.bracket_limit)
+    lo = np.full(y.size, -_BRACKET_LIMIT)
+    hi = np.full(y.size, _BRACKET_LIMIT)
     with np.errstate(all="ignore"):  # non-finite iterates are handled below
         delta = 1.0 / y - 1.0 / (1.0 - y) if guarded else seed
-        for count in range(1, config.max_iterations + 1):
+        for count in range(1, max_iterations + 1):
             if not todo.size:
                 break
             if guarded:
@@ -394,7 +375,7 @@ def _solve_windows(y: np.ndarray, span: np.ndarray, config: SolverConfig,
             residual = g - y
             # the slope only underflows to 0 for |delta| > 1e154; the step is lost there
             step = np.where(slope != 0.0, residual / slope, np.inf)
-            done = np.abs(step) <= config.alpha_tolerance * np.maximum(1.0, np.abs(delta))
+            done = np.abs(step) <= _STEP_TOLERANCE * np.maximum(1.0, np.abs(delta))
             if guarded:
                 up = residual > 0.0
                 lo = np.where(up, delta, lo)
@@ -403,7 +384,7 @@ def _solve_windows(y: np.ndarray, span: np.ndarray, config: SolverConfig,
             stop = done if guarded else done | ~np.isfinite(delta)
             ended = todo[stop]
             alpha[ended] = delta[stop] / span[ended]
-            converged[ended] = done[stop] & (np.abs(residual[stop]) <= config.residual_tolerance)
+            converged[ended] = done[stop] & (np.abs(residual[stop]) <= _RESIDUAL_TOLERANCE)
             steps[ended] = count
             left = ~stop
             todo, y, delta, lo, hi = todo[left], y[left], delta[left], lo[left], hi[left]
@@ -425,17 +406,16 @@ def _window_bounds(sample: OrderedSample, window: TailWindow):
 
 
 def _solve_bounded(mean_log: float, L: float, R: float, ln_l: float, ln_r: float,
-                   k: int, config: SolverConfig) -> EstimateResult:
+                   k: int) -> EstimateResult:
     """The safeguarded solve of G(alpha) = mean_log on [L, R], given ln L < ln R."""
     span = ln_r - ln_l
     y = (mean_log - ln_l) / span
     if not (0.0 < y < 1.0):
         raise DegenerateSampleError(
             "mean log %r outside (ln L, ln R) = (%r, %r)" % (mean_log, ln_l, ln_r))
-    if not _has_root(np.array([y]), config)[0]:
-        raise SolverFailureError(
-            "no root within |alpha * ln(R/L)| <= %g" % config.bracket_limit)
-    alpha, converged, _ = _solve_windows(np.array([y]), np.array([span]), config)
+    if not _has_root(np.array([y]))[0]:
+        raise SolverFailureError("no root within |alpha * ln(R/L)| <= %g" % _BRACKET_LIMIT)
+    alpha, converged, _ = _solve_windows(np.array([y]), np.array([span]), _MAX_STEPS)
     return EstimateResult(
         alpha=float(alpha[0]),
         mu=float(alpha[0]) + 1.0,
@@ -449,37 +429,35 @@ def _solve_bounded(mean_log: float, L: float, R: float, ln_l: float, ln_r: float
     )
 
 
-def solve_direct(mean_log: float, L: float, R: float,
-                 config: SolverConfig = DEFAULT_CONFIG) -> EstimateResult:
+def solve_direct(mean_log: float, L: float, R: float) -> EstimateResult:
     """Solve G(alpha) = mean_log for alpha by safeguarded Newton steps in delta.
 
     G is strictly decreasing, so any mean_log strictly inside
     (ln L, ln R) has exactly one root.  Newton starts from the two-sided
     asymptotic seed delta = 1/y - 1/(1 - y) and keeps a bracket on the root,
-    initially |delta| <= ``config.bracket_limit``; a step leaving the
-    bracket becomes a bisection.
+    initially |delta| <= 1e4, and a step leaving the bracket becomes a
+    bisection; it takes at most 100 steps.
     """
     if not (0.0 < L < R):
         raise DegenerateBoundsError("need 0 < L < R, got L=%r R=%r" % (L, R))
     ln_l, ln_r = math.log(L), math.log(R)
     if ln_l == ln_r:
         raise DegenerateBoundsError("bounds L=%r R=%r have equal logs" % (L, R))
-    return _solve_bounded(mean_log, L, R, ln_l, ln_r, 0, config)
+    return _solve_bounded(mean_log, L, R, ln_l, ln_r, 0)
 
 
-def improved_estimate(sample: OrderedSample, window: TailWindow,
-                      config: SolverConfig = DEFAULT_CONFIG) -> EstimateResult:
+def improved_estimate(sample: OrderedSample, window: TailWindow) -> EstimateResult:
     """Bounded-domain estimate over a window, solved directly.
 
     Equates the window's empirical mean log to G(alpha) with L = X_l and
     R = X_r and returns the unique root; mu = alpha + 1.
     """
     low, high, ln_low, ln_high, m = _window_bounds(sample, window)
-    return _solve_bounded(m, low, high, ln_low, ln_high, window.k, config)
+    return _solve_bounded(m, low, high, ln_low, ln_high, window.k)
 
 
 def solve_iterative(sample: OrderedSample, window: TailWindow,
-                    config: SolverConfig = DEFAULT_CONFIG) -> EstimateResult:
+                    max_iterations: int = _MAX_STEPS) -> EstimateResult:
     """Bounded-domain estimate via the multiplicative fixed-point iteration.
 
     Starts from the Hill value alpha_1 = 1 / (mean_log - ln X_l) and applies
@@ -490,17 +468,19 @@ def solve_iterative(sample: OrderedSample, window: TailWindow,
     The steps are the unguarded Newton steps in delta = alpha * ln(R/L) of
     the loop every solver shares (Newton is unchanged by that rescaling), so
     the table's mu_iter5 is the Hill seed followed by four Newton steps.
-    Iteration stops once a step in delta is below ``config.alpha_tolerance``
-    relative to max(1, |delta|), or after ``config.max_iterations`` steps.
+    Iteration stops once a step in delta is below 1e-10 relative to
+    max(1, |delta|), or after ``max_iterations`` steps (at least 1).
     Non-convergence is reported via ``converged=False``, not an exception,
     so callers can fall back to :func:`solve_direct`.
     """
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     low, high, ln_low, ln_high, m = _window_bounds(sample, window)
     if m == ln_low:
         raise DegenerateSampleError("mean log equals ln X_l; Hill seed undefined")
     span = ln_high - ln_low
     y = np.array([(m - ln_low) / span])
-    alpha, converged, steps = _solve_windows(y, np.array([span]), config, seed=1.0 / y)
+    alpha, converged, steps = _solve_windows(y, np.array([span]), max_iterations, seed=1.0 / y)
     if not np.isfinite(alpha[0]):
         raise SolverFailureError("iteration diverged at step %d" % steps[0])
     return EstimateResult(
@@ -520,8 +500,7 @@ def solve_iterative(sample: OrderedSample, window: TailWindow,
 # Many samples at once
 
 
-def full_window_estimates(blocks: Iterable[np.ndarray], iterative: SolverConfig = DEFAULT_CONFIG,
-                          config: SolverConfig = DEFAULT_CONFIG,
+def full_window_estimates(blocks: Iterable[np.ndarray], max_iterations: int = _MAX_STEPS,
                           name: Callable[[int], str] | None = None) -> tuple[np.ndarray, ...]:
     """Full-window estimates of many samples, solved all at once.
 
@@ -531,8 +510,8 @@ def full_window_estimates(blocks: Iterable[np.ndarray], iterative: SolverConfig 
     so only one needs to be in memory.  Returns six arrays with one entry
     per sample, in order: X_l and X_r (the smallest and largest value), the
     mean log, and mu from :func:`hill_estimate` over the whole sample, from
-    :func:`solve_iterative` with ``iterative`` and from
-    :func:`improved_estimate` with ``config``.  All six are bit-identical to
+    :func:`solve_iterative` with ``max_iterations`` and from
+    :func:`improved_estimate`.  All six are bit-identical to
     the one-sample functions: each row is logged and summed on its own, in
     the same order, and its roots are solved by the same Newton loop from
     the same ln X_l and ln X_r.  A sample that the one-sample functions
@@ -541,6 +520,8 @@ def full_window_estimates(blocks: Iterable[np.ndarray], iterative: SolverConfig 
     names the sample as ``name(i)`` for the i-th sample (from 0), by
     default "sample i+1 of N".
     """
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     columns: list[list[np.ndarray]] = [[] for _ in range(6)]
     for values in blocks:
         values = np.asarray(values, dtype=float)
@@ -564,7 +545,7 @@ def full_window_estimates(blocks: Iterable[np.ndarray], iterative: SolverConfig 
         y = excess / span
         mu_hill = 1.0 / excess + 1.0
         hill_seed = 1.0 / y
-    alpha_iterative, _, _ = _solve_windows(y, span, iterative, seed=hill_seed)
+    alpha_iterative, _, _ = _solve_windows(y, span, max_iterations, seed=hill_seed)
     # checks in the order the one-sample path meets them
     failures = (
         (~finite, DegenerateSampleError, "sample contains non-finite or non-positive values"),
@@ -572,8 +553,8 @@ def full_window_estimates(blocks: Iterable[np.ndarray], iterative: SolverConfig 
          "Hill excess is not positive or X_l and X_r have equal logs"),
         (~np.isfinite(alpha_iterative), SolverFailureError, "iteration diverged"),
         (~((0.0 < y) & (y < 1.0)), DegenerateSampleError, "mean log outside (ln L, ln R)"),
-        (~_has_root(y, config), SolverFailureError,
-         "no root within |alpha * ln(R/L)| <= %g" % config.bracket_limit),
+        (~_has_root(y), SolverFailureError,
+         "no root within |alpha * ln(R/L)| <= %g" % _BRACKET_LIMIT),
     )
     bad = np.logical_or.reduce([mask for mask, _, _ in failures])
     if bad.any():
@@ -582,7 +563,7 @@ def full_window_estimates(blocks: Iterable[np.ndarray], iterative: SolverConfig 
                               if mask[row])
         label = name(row) if name else "sample %d of %d" % (row + 1, bad.size)
         raise error("%s: %s" % (label, message))
-    alpha_direct, _, _ = _solve_windows(y, span, config)
+    alpha_direct, _, _ = _solve_windows(y, span, _MAX_STEPS)
     return low, high, mean, mu_hill, alpha_iterative + 1.0, alpha_direct + 1.0
 
 
@@ -615,8 +596,7 @@ def _none_for_nan(values: np.ndarray) -> list[float | None]:
     return out.tolist()
 
 
-def hill_plot_series(sample: OrderedSample, r: int,
-                     config: SolverConfig = DEFAULT_CONFIG) -> HillPlotSeries:
+def hill_plot_series(sample: OrderedSample, r: int) -> HillPlotSeries:
     """Per-l series of classical and bounded-domain estimates, in O(n).
 
     For each l from r+1 to n the classical entry uses the top-l points
@@ -627,9 +607,8 @@ def hill_plot_series(sample: OrderedSample, r: int,
     root, with its seed, bracket, step and residual tests.
     An entry is None where the per-window estimators fail: a Hill excess
     that is not positive, as tied top values give (Hill), X_l == X_r, a
-    mean log outside (ln X_l, ln X_r), no root within
-    ``config.bracket_limit``, or no convergence within
-    ``config.max_iterations`` steps.  Windows of values a few ulp apart are
+    mean log outside (ln X_l, ln X_r), no root within |delta| <= 1e4, or no
+    convergence within 100 steps.  Windows of values a few ulp apart are
     the exception: the sweep takes exact differences to X_1 and X_r, which
     stay positive where the per-window mean log rounds onto or past a bound.
     On 3.000000000000001 and twelve 3.0 the sweep reports mu_hill of
@@ -648,8 +627,8 @@ def hill_plot_series(sample: OrderedSample, r: int,
 
     with np.errstate(divide="ignore", invalid="ignore"):
         y = excess / span
-    todo = np.flatnonzero((span > 0.0) & _has_root(y, config))
-    alpha, converged, _ = _solve_windows(y[todo], span[todo], config)
+    todo = np.flatnonzero((span > 0.0) & _has_root(y))
+    alpha, converged, _ = _solve_windows(y[todo], span[todo], _MAX_STEPS)
     mu_improved = np.full(span.size, np.nan)
     mu_improved[todo[converged]] = alpha[converged] + 1.0
 

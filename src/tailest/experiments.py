@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import (
-    DEFAULT_CONFIG,
-    HillPlotSeries,
-    SolverConfig,
-    full_window_estimates,
-    hill_plot_series,
-)
+from .estimator import HillPlotSeries, full_window_estimates, hill_plot_series
 from .sampler import DistributionSpec, SampleRequest, SeedStreams, draw, draw_block, tabulate
 
 __all__ = [
@@ -51,7 +45,7 @@ __all__ = [
 ]
 
 # Four applications of the fixed-point update on top of the Hill seed.
-ITER5_CONFIG = SolverConfig(max_iterations=4)
+ITER5_MAX_ITERATIONS = 4
 
 TABLE_CSV_HEADER = "row,seed,mu_input,sigma,L,R,mu_hill,mu_iter5,mu_direct"
 FIGURE_CSV_HEADER = "l,mu_hill,mu_improved"
@@ -73,26 +67,25 @@ class TableRowSpec:
     spec: DistributionSpec
     n_rand: int
     mu_input: float
-    mu_input_exact: bool  # False where the density is only asymptotically x^-mu
 
 
 TABLE_ROWS: dict[int, TableRowSpec] = {
     row.row_id: row for row in (
-        TableRowSpec(1, DistributionSpec.power(5.0, 3.0, 150.0), 1000, 5.0, True),
-        TableRowSpec(2, DistributionSpec.power(5.0, 3.0, 4.0), 1000, 5.0, True),
-        TableRowSpec(3, DistributionSpec.power(5.0, 3.0, 4.0), 5000, 5.0, True),
-        TableRowSpec(4, DistributionSpec.sqrt_inv(3.0, 150.0), 1000, 0.5, True),
-        TableRowSpec(5, DistributionSpec.sqrt_inv(3.0, 1500.0), 1000, 0.5, True),
-        TableRowSpec(6, DistributionSpec.sqrt_inv(3.0, 15000.0), 1000, 0.5, True),
-        TableRowSpec(7, DistributionSpec.pade14(494.7, 4886.0, 1.0, 2.0), 1000, 4.0, False),
-        TableRowSpec(8, DistributionSpec.pade14(494.7, 4886.0, 1.0, 5.0), 1000, 4.0, False),
-        TableRowSpec(9, DistributionSpec.log_over_x(100.0, 400.0), 1000, 1.0, False),
+        TableRowSpec(1, DistributionSpec.power(5.0, 3.0, 150.0), 1000, 5.0),
+        TableRowSpec(2, DistributionSpec.power(5.0, 3.0, 4.0), 1000, 5.0),
+        TableRowSpec(3, DistributionSpec.power(5.0, 3.0, 4.0), 5000, 5.0),
+        TableRowSpec(4, DistributionSpec.sqrt_inv(3.0, 150.0), 1000, 0.5),
+        TableRowSpec(5, DistributionSpec.sqrt_inv(3.0, 1500.0), 1000, 0.5),
+        TableRowSpec(6, DistributionSpec.sqrt_inv(3.0, 15000.0), 1000, 0.5),
+        TableRowSpec(7, DistributionSpec.pade14(494.7, 4886.0, 1.0, 2.0), 1000, 4.0),
+        TableRowSpec(8, DistributionSpec.pade14(494.7, 4886.0, 1.0, 5.0), 1000, 4.0),
+        TableRowSpec(9, DistributionSpec.log_over_x(100.0, 400.0), 1000, 1.0),
         # The printed source for row 10 lists an observed maximum above its
         # own domain cut; the registry keeps the printed [2000, 5000] domain.
-        TableRowSpec(10, DistributionSpec.log_over_x(2000.0, 5000.0), 1000, 1.0, False),
-        TableRowSpec(11, DistributionSpec.inv_xlogx(8000.0, 10000.0), 5000, 1.0, False),
-        TableRowSpec(12, DistributionSpec.inv_xlogx(3000.0, 6000.0), 5000, 1.0, False),
-        TableRowSpec(13, DistributionSpec.power_growth(3.5, 3.0, 10000.0), 1000, -3.5, True),
+        TableRowSpec(10, DistributionSpec.log_over_x(2000.0, 5000.0), 1000, 1.0),
+        TableRowSpec(11, DistributionSpec.inv_xlogx(8000.0, 10000.0), 5000, 1.0),
+        TableRowSpec(12, DistributionSpec.inv_xlogx(3000.0, 6000.0), 5000, 1.0),
+        TableRowSpec(13, DistributionSpec.power_growth(3.5, 3.0, 10000.0), 1000, -3.5),
     )
 }
 
@@ -181,7 +174,6 @@ class TableRowResult:
     observed_high: float  # largest draw
     sigma: float
     mu_input: float
-    mu_input_exact: bool
     mu_hill: float
     mu_iter5: float
     mu_direct: float
@@ -254,7 +246,7 @@ def run_full_table(seeds: Sequence[int],
 
     low, high, sigma, mu_hill, mu_iter5, mu_direct = (
         column.tolist()
-        for column in full_window_estimates(_draw_blocks(entries, streams), ITER5_CONFIG,
+        for column in full_window_estimates(_draw_blocks(entries, streams), ITER5_MAX_ITERATIONS,
                                             name=cell))
     cells = ((entry, seed) for entry in entries for seed in seeds)
     return [
@@ -267,7 +259,6 @@ def run_full_table(seeds: Sequence[int],
             observed_high=high[i],
             sigma=sigma[i],
             mu_input=entry.mu_input,
-            mu_input_exact=entry.mu_input_exact,
             mu_hill=mu_hill[i],
             mu_iter5=mu_iter5[i],
             mu_direct=mu_direct[i],
@@ -286,14 +277,13 @@ def _draw_blocks(entries: Sequence[TableRowSpec], streams: SeedStreams) -> Itera
             yield draw_block(dist, entry.n_rand, streams[start:start + per_block])
 
 
-def run_figure(example_id: int, seed: int,
-               config: SolverConfig = DEFAULT_CONFIG) -> FigureSeriesResult:
+def run_figure(example_id: int, seed: int) -> FigureSeriesResult:
     """Run one plot scenario: draw the sample and build the full series (r = 1)."""
     check_figure_examples([example_id])
     fig = FIGURE_EXAMPLES[example_id]
     dist = tabulate(fig.spec)
     sample = draw(dist, SampleRequest(n=fig.n_rand, seed=seed))
-    series = hill_plot_series(sample, r=1, config=config)
+    series = hill_plot_series(sample, r=1)
     return FigureSeriesResult(
         example_id=example_id,
         figure_number=fig.figure_number,

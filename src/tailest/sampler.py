@@ -154,12 +154,6 @@ class DistributionSpec:
 
     # -- evaluation --------------------------------------------------------
 
-    def param(self, name: str) -> float:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise DistributionSpecError("spec %r lacks parameter %r" % (self.kind, name))
-
     def pdf(self, x: np.ndarray) -> np.ndarray:
         """Unnormalized density on x (elementwise)."""
         x = np.asarray(x, dtype=float)

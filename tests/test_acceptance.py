@@ -13,7 +13,6 @@ import numpy as np
 
 from tailest.estimator import (
     OrderedSample,
-    SolverConfig,
     correction,
     correction_derivative,
     full_window,

@@ -128,6 +128,16 @@ class TestEstimate:
         assert "window l=10 r=2 (k=9)" in out
         assert _run(["estimate", str(path), "--l", "50"]) == 4
 
+    def test_window_flags_selecting_no_window_exit_2(self, tmp_path, capsys):
+        # checked before the file is read: a missing file is not reported
+        path = tmp_path / "missing.txt"
+        for flags, flag in ((["--l", "0"], "--l"), (["--l", "1"], "--l"),
+                            (["--r", "0"], "--r"), (["--l", "5", "--r", "5"], "--r"),
+                            (["--l", "5", "--r", "7"], "--r")):
+            code, out, err = _estimate(path, capsys, *flags)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: %s " % flag) and err.count("\n") == 1
+
     def test_plot_output(self, tmp_path, capsys):
         path = tmp_path / "data.txt"
         path.write_text("".join("%r\n" % (1.0 + 0.37 * v) for v in range(30)))
@@ -396,6 +406,17 @@ class TestSimulate:
             assert _run(argv) == 2
             assert "error: %s must be >=" % flag in capsys.readouterr().err
 
+    def test_draw_count_capped(self, tmp_path, capsys):
+        # checked before any array is built: 10^13 draws would need ~1 PB
+        out = tmp_path / "s.txt"
+        for n in (cli._MAX_DRAWS + 1, 10**13):
+            assert _run(["simulate", "--dist", "power", "--mu", "5", "--dlow", "3",
+                         "--dhigh", "4", "--n", str(n), "--seed", "1",
+                         "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err == "error: --n asks for %d draws (at most 10000000)\n" % n
+
     def test_integral_outside_float_range_exits_2(self, capsys):
         # x^100 is finite up to 1200, but its integral overflows
         assert _run(["simulate", "--dist", "growth", "--exponent", "100", "--dlow", "1",
@@ -457,7 +478,7 @@ class TestTable:
         # two draws on a domain one float wide tie or round onto a bound
         spec = DistributionSpec.power(5.0, 3.0, math.nextafter(3.0, 4.0))
         monkeypatch.setitem(experiments.TABLE_ROWS, 14,
-                            experiments.TableRowSpec(14, spec, 2, 5.0, True))
+                            experiments.TableRowSpec(14, spec, 2, 5.0))
         assert _run(["table", "--rows", "2,14", "--seeds", "3-4", "--out", str(tmp_path)]) == 4
         assert capsys.readouterr().err.startswith("error: table row 14, seed 3: ")
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tailest import estimator
 from tailest.estimator import (
     DegenerateBoundsError,
     DegenerateSampleError,
@@ -10,7 +11,6 @@ from tailest.estimator import (
     EstimationError,
     OrderedSample,
     SingularityError,
-    SolverConfig,
     SolverFailureError,
     TailWindow,
     WindowError,
@@ -26,7 +26,7 @@ from tailest.estimator import (
     solve_direct,
     solve_iterative,
 )
-from tailest.experiments import FIGURE_EXAMPLES, ITER5_CONFIG, TABLE_ROWS
+from tailest.experiments import FIGURE_EXAMPLES, ITER5_MAX_ITERATIONS, TABLE_ROWS
 from tailest.sampler import SampleRequest, draw, tabulate
 
 # eleven values on two adjacent floats whose logs tie: ln X_l == ln X_r, and
@@ -44,6 +44,12 @@ def _log_uniform(n, seed):
     # density 1/x (mu = 1) over [1e-300, 1e300], a domain 600 decades wide
     rng = np.random.default_rng(seed)
     return OrderedSample(np.exp(rng.uniform(math.log(1e-300), math.log(1e300), size=n)))
+
+
+def _patch_solver(monkeypatch, config):
+    """Set the estimator's solver settings named in config for one test."""
+    for name, value in config.items():
+        monkeypatch.setattr(estimator, name, value)
 
 
 class TestOrderedSample:
@@ -328,9 +334,9 @@ class TestSolveDirect:
 
     def test_bracket_limit_exhausted(self):
         low, high = 3.0, 150.0
-        m = gfun(9.0, low, high)  # root at alpha = 9
+        m = gfun(3000.0, low, high)  # root at delta = 3000 ln 50 ~ 11,700 > 1e4
         with pytest.raises(SolverFailureError):
-            solve_direct(m, low, high, SolverConfig(bracket_limit=2.0))
+            solve_direct(m, low, high)
 
     def test_residual_small(self):
         low, high = 2.0, 40.0
@@ -392,7 +398,7 @@ class TestSolveIterative:
         # four updates from the Hill seed land within a few percent
         s = self._power_sample(n=1000, seed=9)
         w = full_window(s)
-        capped = solve_iterative(s, w, SolverConfig(max_iterations=4))
+        capped = solve_iterative(s, w, max_iterations=4)
         exact = improved_estimate(s, w)
         assert capped.iterations <= 4
         assert abs(capped.alpha - exact.alpha) < 0.05 * max(1.0, abs(exact.alpha))
@@ -400,7 +406,7 @@ class TestSolveIterative:
     def test_non_convergence_reported_not_raised(self):
         s = self._power_sample(n=500, seed=4, low=3.0, high=4.0)
         w = full_window(s)
-        res = solve_iterative(s, w, SolverConfig(max_iterations=1))
+        res = solve_iterative(s, w, max_iterations=1)
         assert not res.converged
         assert res.iterations == 1
 
@@ -417,7 +423,7 @@ class TestSolveIterative:
         assert mean_log(s, full_window(s)) < s.log_values[-1]
         with pytest.raises(SolverFailureError, match="diverged at step 9$"):
             solve_iterative(s, full_window(s))
-        res = solve_iterative(s, full_window(s), SolverConfig(max_iterations=8))
+        res = solve_iterative(s, full_window(s), max_iterations=8)
         assert (res.iterations, res.converged) == (8, False)
 
 
@@ -562,7 +568,7 @@ class TestHillPlotSeries:
     _WIDE = OrderedSample(_RNG.uniform(1.0, 1000.0, size=300))  # |delta| up to ~7
 
     @staticmethod
-    def _per_window(sample, r, config):
+    def _per_window(sample, r):
         hill, improved = [], []
         for l in range(r + 1, len(sample) + 1):
             try:
@@ -570,24 +576,26 @@ class TestHillPlotSeries:
             except EstimationError:
                 hill.append(None)
             try:
-                res = improved_estimate(sample, TailWindow(l=l, r=r), config)
+                res = improved_estimate(sample, TailWindow(l=l, r=r))
                 improved.append(res.mu if res.converged else None)
             except EstimationError:
                 improved.append(None)
         return hill, improved
 
+    # config: solver settings patched for the case
     @pytest.mark.parametrize("sample, r, config, blanks", [
-        (_UNIFORM, 1, SolverConfig(), 0),
-        (_UNIFORM, 3, SolverConfig(), 0),
-        (_UNIFORM, 10, SolverConfig(), 0),
-        (_TIES, 1, SolverConfig(), 3),  # windows (2..4, 1) hold only ties
-        (_TIES, 2, SolverConfig(), 2),
-        (_WIDE, 1, SolverConfig(bracket_limit=5.0), 1),  # no root in the bracket
-        (_UNIFORM, 3, SolverConfig(max_iterations=1), 1),  # not converged
+        (_UNIFORM, 1, {}, 0),
+        (_UNIFORM, 3, {}, 0),
+        (_UNIFORM, 10, {}, 0),
+        (_TIES, 1, {}, 3),  # windows (2..4, 1) hold only ties
+        (_TIES, 2, {}, 2),
+        (_WIDE, 1, {"_BRACKET_LIMIT": 5.0}, 1),  # no root in the bracket
+        (_UNIFORM, 3, {"_MAX_STEPS": 1}, 1),  # not converged
     ])
-    def test_matches_per_window_loop(self, sample, r, config, blanks):
-        series = hill_plot_series(sample, r=r, config=config)
-        hill, improved = self._per_window(sample, r, config)
+    def test_matches_per_window_loop(self, sample, r, config, blanks, monkeypatch):
+        _patch_solver(monkeypatch, config)
+        series = hill_plot_series(sample, r=r)
+        hill, improved = self._per_window(sample, r)
         values = sample.values
         for column, expected, top in ((series.mu_hill, hill, values[0]),
                                       (series.mu_improved, improved, values[r - 1])):
@@ -620,28 +628,30 @@ class TestHillPlotSeries:
                 assert abs(mu - exact) <= 1e-10, l
 
 
-def _one_sample_estimates(values, iterative, config):
+def _one_sample_estimates(values, iterative):
     """(mean log, Hill mu, iterative mu, direct mu) by the one-sample
     functions, or the class of the error they raise."""
     try:
         sample = OrderedSample(values)
         window = full_window(sample)
         return (mean_log(sample, window), hill_estimate(sample, len(sample)).mu,
-                solve_iterative(sample, window, iterative).mu,
-                improved_estimate(sample, window, config).mu)
+                solve_iterative(sample, window, **iterative).mu,
+                improved_estimate(sample, window).mu)
     except EstimationError as exc:
         return type(exc)
 
 
 class TestFullWindowEstimates:
+    # the iterative solver's arguments, and solver settings patched for the case
     CONFIGS = [
-        (ITER5_CONFIG, SolverConfig()),
-        (SolverConfig(), SolverConfig(max_iterations=2)),  # direct stops unconverged
-        (SolverConfig(max_iterations=1), SolverConfig(bracket_limit=50.0)),
+        ({"max_iterations": ITER5_MAX_ITERATIONS}, {}),
+        ({}, {"_MAX_STEPS": 2}),  # direct stops unconverged
+        ({"max_iterations": 1}, {"_BRACKET_LIMIT": 50.0}),
     ]
 
     @pytest.mark.parametrize("iterative, config", CONFIGS)
-    def test_matches_one_sample_estimators(self, iterative, config):
+    def test_matches_one_sample_estimators(self, iterative, config, monkeypatch):
+        _patch_solver(monkeypatch, config)
         rows = [draw(tabulate(TABLE_ROWS[row].spec), SampleRequest(300, seed)).values
                 for row in (1, 2, 5, 9, 13) for seed in (1, 2)]
         rows += [_log_uniform(300, seed).values for seed in (1, 2)]
@@ -651,9 +661,9 @@ class TestFullWindowEstimates:
         rows.append(np.array([37.284, 30.0, 20.0, 10.0, 3.641]))
         blocks = [np.array(rows[:5]), np.array(rows[5:12]), np.array(rows[12:13]),
                   np.array(rows[13:])]
-        columns = full_window_estimates(blocks, iterative, config)
+        columns = full_window_estimates(blocks, **iterative)
         for i, row in enumerate(rows):
-            mean, hill, iterated, direct = _one_sample_estimates(row, iterative, config)
+            mean, hill, iterated, direct = _one_sample_estimates(row, iterative)
             assert (columns[0][i], columns[1][i]) == (row[-1], row[0])
             assert columns[2][i] == mean
             assert columns[3][i] == hill
@@ -664,9 +674,9 @@ class TestFullWindowEstimates:
         # 333 values: rows start at every offset within a SIMD register
         rows = np.array([draw(tabulate(TABLE_ROWS[row].spec), SampleRequest(333, seed)).values
                          for row in (2, 4, 13) for seed in (1, 2, 3)])
-        together = full_window_estimates([rows], ITER5_CONFIG)
+        together = full_window_estimates([rows], ITER5_MAX_ITERATIONS)
         for i in range(len(rows)):
-            alone = full_window_estimates([rows[i:i + 1]], ITER5_CONFIG)
+            alone = full_window_estimates([rows[i:i + 1]], ITER5_MAX_ITERATIONS)
             assert all(np.array_equal(a, t[i:i + 1]) for a, t in zip(alone, together))
 
     # blocks of descending rows that the one-sample path rejects somewhere
@@ -690,13 +700,13 @@ class TestFullWindowEstimates:
         [[LOG_TIE]],
         [[ROUNDS_BELOW]],  # the Hill excess rounds below 0
     ])
-    def test_rejects_like_one_sample_path(self, blocks):
-        iterative, config = ITER5_CONFIG, SolverConfig(bracket_limit=5.0)
-        outcomes = [_one_sample_estimates(row, iterative, config)
+    def test_rejects_like_one_sample_path(self, blocks, monkeypatch):
+        monkeypatch.setattr(estimator, "_BRACKET_LIMIT", 5.0)
+        outcomes = [_one_sample_estimates(row, {"max_iterations": ITER5_MAX_ITERATIONS})
                     for block in blocks for row in block]
         expected = next(o for o in outcomes if isinstance(o, type))
         with pytest.raises(EstimationError) as info:
-            full_window_estimates([np.array(block) for block in blocks], iterative, config)
+            full_window_estimates([np.array(block) for block in blocks], ITER5_MAX_ITERATIONS)
         assert type(info.value) is expected
 
     def test_non_positive_hill_excess_is_degenerate(self):
@@ -727,23 +737,12 @@ class TestEstimateResultInvariants:
             res.alpha = 0.0
 
 
-class TestSolverConfig:
-    def test_defaults(self):
-        cfg = SolverConfig()
-        assert cfg.alpha_tolerance == 1e-10
-        assert cfg.residual_tolerance == 1e-10
-        assert cfg.max_iterations == 100
-        assert cfg.bracket_limit == 1e4
-
-    @pytest.mark.parametrize("kwargs", [
-        {"alpha_tolerance": 0.0},
-        {"residual_tolerance": -1e-3},
-        {"max_iterations": 0},
-        {"bracket_limit": 0.0},
-        {"alpha_tolerance": math.nan},
-        {"residual_tolerance": math.nan},
-        {"bracket_limit": math.nan},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            SolverConfig(**kwargs)
+class TestMaxIterations:
+    def test_below_one_rejected(self):
+        s = OrderedSample([4.0, 3.5, 3.1, 3.0])
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+                solve_iterative(s, full_window(s), max_iterations=bad)
+            with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+                full_window_estimates([s.values[None, :]], max_iterations=bad)
+        assert solve_iterative(s, full_window(s), max_iterations=1).iterations == 1

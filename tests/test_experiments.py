@@ -9,7 +9,6 @@ from tailest import experiments, svgplot
 from tailest.estimator import (
     EstimationError,
     HillPlotSeries,
-    SolverConfig,
     full_window,
     hill_estimate,
     improved_estimate,
@@ -17,7 +16,7 @@ from tailest.estimator import (
 )
 from tailest.experiments import (
     FIGURE_EXAMPLES,
-    ITER5_CONFIG,
+    ITER5_MAX_ITERATIONS,
     TABLE_ROWS,
     FigureExampleError,
     TableRowError,
@@ -91,7 +90,7 @@ class TestRunTableRow:
             res = run_table_row(row_id, seed=2)
             entry = TABLE_ROWS[row_id]
             sample = draw(tabulate(entry.spec), SampleRequest(entry.n_rand, 2))
-            capped = solve_iterative(sample, full_window(sample), ITER5_CONFIG)
+            capped = solve_iterative(sample, full_window(sample), ITER5_MAX_ITERATIONS)
             if capped.converged:
                 assert abs(res.mu_iter5 - res.mu_direct) < 1e-3
 
@@ -99,8 +98,7 @@ class TestRunTableRow:
         for row_id in sorted(TABLE_ROWS):
             entry = TABLE_ROWS[row_id]
             sample = draw(tabulate(entry.spec), SampleRequest(entry.n_rand, 1))
-            res = solve_iterative(sample, full_window(sample),
-                                  SolverConfig(max_iterations=100))
+            res = solve_iterative(sample, full_window(sample), max_iterations=100)
             direct = run_table_row(row_id, seed=1).mu_direct
             if res.converged:
                 assert abs(res.mu - direct) < 1e-6
@@ -144,7 +142,7 @@ class TestRunFullTable:
             assert res.observed_high == sample.values[0]
             assert res.sigma == sigma_statistic(sample)
             assert res.mu_hill == hill_estimate(sample, len(sample)).mu
-            iter5 = solve_iterative(sample, window, ITER5_CONFIG).mu
+            iter5 = solve_iterative(sample, window, ITER5_MAX_ITERATIONS).mu
             direct = improved_estimate(sample, window).mu
             assert res.mu_iter5 == iter5
             assert res.mu_direct == direct
@@ -153,14 +151,14 @@ class TestRunFullTable:
         # two draws on a domain one float wide: their values or logs tie, or
         # the mean log rounds onto a bound
         spec = DistributionSpec.power(5.0, 3.0, math.nextafter(3.0, 4.0))
-        monkeypatch.setitem(TABLE_ROWS, 14, TableRowSpec(14, spec, 2, 5.0, True))
+        monkeypatch.setitem(TABLE_ROWS, 14, TableRowSpec(14, spec, 2, 5.0))
         dist = tabulate(spec)
         for seed in range(1, 6):
             sample = draw(dist, SampleRequest(2, seed))
             window = full_window(sample)
             with pytest.raises(EstimationError) as scalar:
                 hill_estimate(sample, 2)
-                solve_iterative(sample, window, ITER5_CONFIG)
+                solve_iterative(sample, window, ITER5_MAX_ITERATIONS)
                 improved_estimate(sample, window)
             with pytest.raises(EstimationError) as blocked:
                 run_full_table([seed], [2, 14])

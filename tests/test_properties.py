@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from tailest.estimator import (
     OrderedSample,
-    SolverConfig,
     TailWindow,
     _SERIES_DELTA,
     _kernel_array,
@@ -204,7 +203,7 @@ def test_solver_always_finds_interior_root():
         low, high, span = _random_bounds(rng)
         frac = rng.uniform(0.05, 0.95)
         m = math.log(low) + frac * span
-        res = solve_direct(m, low, high, SolverConfig(bracket_limit=1e6))
+        res = solve_direct(m, low, high)
         assert abs(gfun(res.alpha, low, high) - m) < 1e-9
 
 

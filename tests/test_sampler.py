@@ -68,11 +68,6 @@ class TestDistributionSpec:
         with pytest.raises(DistributionSpecError):
             DistributionSpec.power(5.0, 3.0, 150.0, grid_points=gp)
 
-    def test_missing_param(self):
-        spec = DistributionSpec.sqrt_inv(3.0, 150.0)
-        with pytest.raises(DistributionSpecError):
-            spec.param("mu")
-
     @pytest.mark.parametrize("kind, params", [
         ("power", ()),                                   # missing
         ("pade14", (("p2", 1.0),)),                      # missing
