@@ -31,6 +31,7 @@ from .estimator import (
     solve_iterative,
 )
 from .experiments import (
+    FIGURE_EXAMPLES,
     FigureExampleError,
     TableRowError,
     check_figure_examples,
@@ -47,7 +48,6 @@ from .sampler import (
     DENSITIES,
     DistributionSpec,
     DistributionSpecError,
-    SampleRequest,
     draw,
     sigma_statistic,
     tabulate,
@@ -282,7 +282,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             raise _CliError(2, "%s must be a number, got nan" % flag)
     if args.xmin is not None and args.xmax is not None and args.xmin > args.xmax:
         raise _CliError(2, "--xmin %r is greater than --xmax %r" % (args.xmin, args.xmax))
-    # a window needs 1 <= r < l; only l beyond the sample depends on the data
+    # a window needs 1 <= r < l; only l or r beyond the sample depends on the data
     if args.l is not None:
         _at_least(args.l, 2, "--l")
     if args.r is not None:
@@ -299,6 +299,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     sample = OrderedSample(values)
 
     n = len(sample)
+    if args.l is None and args.r is not None and args.r >= n:
+        raise WindowError("--r %d must be below the sample size %d" % (args.r, n))
     l = args.l if args.l is not None else n
     r = args.r if args.r is not None else 1
     window = TailWindow(l=l, r=r)
@@ -361,7 +363,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                         "probability (at most %g%%); raise --grid-points or narrow "
                         "--dlow/--dhigh" % (spec.grid_points, spec.d_low, spec.d_high,
                                            100 * cell_mass, 100 * _MAX_CELL_MASS))
-    sample = draw(dist, SampleRequest(n=n, seed=seed))
+    sample = draw(dist, n, seed)
     lines = "\n".join(str(v) for v in sample.values) + "\n"
     summary = "n %d  sigma %s  L %s  R %s" % (
         len(sample), _fmt(sigma_statistic(sample)),
@@ -409,14 +411,14 @@ def cmd_figure(args: argparse.Namespace) -> int:
     _at_least(args.seed, 0, "--seed")
     os.makedirs(args.out, exist_ok=True)
     for example_id in _ids(examples):
-        result = run_figure(example_id, args.seed)
-        base = os.path.join(args.out, "figure%d" % result.figure_number)
+        fig = FIGURE_EXAMPLES[example_id]
+        series = run_figure(example_id, args.seed)
+        base = os.path.join(args.out, "figure%d" % fig.figure_number)
         with open(base + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(figure_csv(result.series))
-        title = "%s, n=%d, expected mu=%g" % (
-            result.spec.describe(), result.n_rand, result.expected_mu)
+            fh.write(figure_csv(series))
+        title = "%s, n=%d, expected mu=%g" % (fig.spec.describe(), fig.n_rand, fig.expected_mu)
         with open(base + ".svg", "w", encoding="utf-8") as fh:
-            fh.write(hill_plot_svg(result.series, result.expected_mu, title))
+            fh.write(hill_plot_svg(series, fig.expected_mu, title))
         print("wrote %s.csv %s.svg" % (base, base), file=sys.stderr)
     return 0
 

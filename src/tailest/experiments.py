@@ -22,20 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import HillPlotSeries, full_window_estimates, hill_plot_series
-from .sampler import DistributionSpec, SampleRequest, SeedStreams, draw, draw_block, tabulate
+from .sampler import DistributionSpec, SeedStreams, draw, draw_block, tabulate
 
 __all__ = [
     "TABLE_ROWS",
     "FIGURE_EXAMPLES",
     "TableRowResult",
-    "FigureSeriesResult",
     "RowSummary",
     "TableRowError",
     "FigureExampleError",
     "check_table_rows",
     "check_figure_examples",
     "merge_ranges",
-    "run_table_row",
     "run_figure",
     "run_full_table",
     "summarize_table",
@@ -71,21 +69,22 @@ class TableRowSpec:
 
 TABLE_ROWS: dict[int, TableRowSpec] = {
     row.row_id: row for row in (
-        TableRowSpec(1, DistributionSpec.power(5.0, 3.0, 150.0), 1000, 5.0),
-        TableRowSpec(2, DistributionSpec.power(5.0, 3.0, 4.0), 1000, 5.0),
-        TableRowSpec(3, DistributionSpec.power(5.0, 3.0, 4.0), 5000, 5.0),
-        TableRowSpec(4, DistributionSpec.sqrt_inv(3.0, 150.0), 1000, 0.5),
-        TableRowSpec(5, DistributionSpec.sqrt_inv(3.0, 1500.0), 1000, 0.5),
-        TableRowSpec(6, DistributionSpec.sqrt_inv(3.0, 15000.0), 1000, 0.5),
-        TableRowSpec(7, DistributionSpec.pade14(494.7, 4886.0, 1.0, 2.0), 1000, 4.0),
-        TableRowSpec(8, DistributionSpec.pade14(494.7, 4886.0, 1.0, 5.0), 1000, 4.0),
-        TableRowSpec(9, DistributionSpec.log_over_x(100.0, 400.0), 1000, 1.0),
+        TableRowSpec(1, DistributionSpec.of("power", 3.0, 150.0, mu=5.0), 1000, 5.0),
+        TableRowSpec(2, DistributionSpec.of("power", 3.0, 4.0, mu=5.0), 1000, 5.0),
+        TableRowSpec(3, DistributionSpec.of("power", 3.0, 4.0, mu=5.0), 5000, 5.0),
+        TableRowSpec(4, DistributionSpec.of("sqrt_inv", 3.0, 150.0), 1000, 0.5),
+        TableRowSpec(5, DistributionSpec.of("sqrt_inv", 3.0, 1500.0), 1000, 0.5),
+        TableRowSpec(6, DistributionSpec.of("sqrt_inv", 3.0, 15000.0), 1000, 0.5),
+        TableRowSpec(7, DistributionSpec.of("pade14", 1.0, 2.0, p2=494.7, p4=4886.0), 1000, 4.0),
+        TableRowSpec(8, DistributionSpec.of("pade14", 1.0, 5.0, p2=494.7, p4=4886.0), 1000, 4.0),
+        TableRowSpec(9, DistributionSpec.of("log_over_x", 100.0, 400.0), 1000, 1.0),
         # The printed source for row 10 lists an observed maximum above its
         # own domain cut; the registry keeps the printed [2000, 5000] domain.
-        TableRowSpec(10, DistributionSpec.log_over_x(2000.0, 5000.0), 1000, 1.0),
-        TableRowSpec(11, DistributionSpec.inv_xlogx(8000.0, 10000.0), 5000, 1.0),
-        TableRowSpec(12, DistributionSpec.inv_xlogx(3000.0, 6000.0), 5000, 1.0),
-        TableRowSpec(13, DistributionSpec.power_growth(3.5, 3.0, 10000.0), 1000, -3.5),
+        TableRowSpec(10, DistributionSpec.of("log_over_x", 2000.0, 5000.0), 1000, 1.0),
+        TableRowSpec(11, DistributionSpec.of("inv_xlogx", 8000.0, 10000.0), 5000, 1.0),
+        TableRowSpec(12, DistributionSpec.of("inv_xlogx", 3000.0, 6000.0), 5000, 1.0),
+        TableRowSpec(13, DistributionSpec.of("power_growth", 3.0, 10000.0, exponent=3.5),
+                     1000, -3.5),
     )
 }
 
@@ -103,10 +102,12 @@ class FigureSpec:
 
 FIGURE_EXAMPLES: dict[int, FigureSpec] = {
     fig.example_id: fig for fig in (
-        FigureSpec(14, 1, DistributionSpec.pade14(494.7, 4886.0, 1.0, 3.0), 2000, 4.0),
-        FigureSpec(15, 2, DistributionSpec.two_power(3.0, 4.0, 1.0, 2.5, 10.0, 30.0), 10000, 2.5),
-        FigureSpec(16, 3, DistributionSpec.log_over_x(100.0, 400.0), 10000, 1.0),
-        FigureSpec(17, 4, DistributionSpec.sqrt_inv(3.0, 1500.0), 10000, 0.5),
+        FigureSpec(14, 1, DistributionSpec.of("pade14", 1.0, 3.0, p2=494.7, p4=4886.0),
+                   2000, 4.0),
+        FigureSpec(15, 2, DistributionSpec.of("two_power", 10.0, 30.0,
+                                              a1=3.0, mu1=4.0, a2=1.0, mu2=2.5), 10000, 2.5),
+        FigureSpec(16, 3, DistributionSpec.of("log_over_x", 100.0, 400.0), 10000, 1.0),
+        FigureSpec(17, 4, DistributionSpec.of("sqrt_inv", 3.0, 1500.0), 10000, 0.5),
     )
 }
 
@@ -168,8 +169,6 @@ def check_figure_examples(ids: Iterable[int | range]) -> None:
 class TableRowResult:
     row_id: int
     seed: int
-    spec: DistributionSpec
-    n_rand: int
     observed_low: float   # smallest draw
     observed_high: float  # largest draw
     sigma: float
@@ -177,17 +176,6 @@ class TableRowResult:
     mu_hill: float
     mu_iter5: float
     mu_direct: float
-
-
-@dataclass(frozen=True)
-class FigureSeriesResult:
-    example_id: int
-    figure_number: int
-    spec: DistributionSpec
-    n_rand: int
-    seed: int
-    expected_mu: float
-    series: HillPlotSeries
 
 
 @dataclass(frozen=True)
@@ -203,11 +191,6 @@ class RowSummary:
     std_mu_iter5: float
     mean_mu_direct: float
     std_mu_direct: float
-
-
-def run_table_row(row_id: int, seed: int) -> TableRowResult:
-    """Run one table scenario with the given seed."""
-    return run_full_table([seed], [row_id])[0]
 
 
 # Draws per block of seeds that run_full_table maps and sorts together.
@@ -253,8 +236,6 @@ def run_full_table(seeds: Sequence[int],
         TableRowResult(
             row_id=entry.row_id,
             seed=seed,
-            spec=entry.spec,
-            n_rand=entry.n_rand,
             observed_low=low[i],
             observed_high=high[i],
             sigma=sigma[i],
@@ -277,22 +258,13 @@ def _draw_blocks(entries: Sequence[TableRowSpec], streams: SeedStreams) -> Itera
             yield draw_block(dist, entry.n_rand, streams[start:start + per_block])
 
 
-def run_figure(example_id: int, seed: int) -> FigureSeriesResult:
-    """Run one plot scenario: draw the sample and build the full series (r = 1)."""
+def run_figure(example_id: int, seed: int) -> HillPlotSeries:
+    """The full generalized Hill plot series (r = 1) of one plot scenario's
+    sample drawn with the seed; the scenario itself, its figure number,
+    density and expected mu, is ``FIGURE_EXAMPLES[example_id]``."""
     check_figure_examples([example_id])
     fig = FIGURE_EXAMPLES[example_id]
-    dist = tabulate(fig.spec)
-    sample = draw(dist, SampleRequest(n=fig.n_rand, seed=seed))
-    series = hill_plot_series(sample, r=1)
-    return FigureSeriesResult(
-        example_id=example_id,
-        figure_number=fig.figure_number,
-        spec=fig.spec,
-        n_rand=fig.n_rand,
-        seed=seed,
-        expected_mu=fig.expected_mu,
-        series=series,
-    )
+    return hill_plot_series(draw(tabulate(fig.spec), fig.n_rand, seed), r=1)
 
 
 def summarize_table(results: list[TableRowResult]) -> list[RowSummary]:

@@ -1,5 +1,10 @@
 """Grid-tabulated densities and reproducible inverse-CDF sampling.
 
+Every built-in density is named once, in ``DENSITIES`` (kind -> CLI name,
+parameter names, pdf).  ``DistributionSpec.of(kind, d_low, d_high,
+**params)`` puts one on a bounded domain, ``tabulate`` builds its grid and
+``draw(dist, n, seed)`` samples it.
+
 A density is tabulated on a uniform grid over [d_low, d_high], accumulated
 into a CDF with the trapezoid rule and rescaled so the last node equals 1.
 Draws map uniforms through the tabulated inverse CDF with linear
@@ -27,6 +32,7 @@ sorted they read the grid front to back.
 from __future__ import annotations
 
 import copy
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Callable
@@ -40,7 +46,6 @@ __all__ = [
     "DistributionSpecError",
     "DistributionSpec",
     "GridDistribution",
-    "SampleRequest",
     "SeedStreams",
     "tabulate",
     "draw",
@@ -101,6 +106,9 @@ class DistributionSpec:
         if names != DENSITIES[self.kind].params:
             raise DistributionSpecError("%s takes parameters %s, got %s" % (
                 self.kind, DENSITIES[self.kind].params, names))
+        for name, bound in (("d_low", self.d_low), ("d_high", self.d_high)):
+            if not math.isfinite(bound):
+                raise DistributionSpecError("%s must be finite, got %r" % (name, bound))
         if not (self.d_low < self.d_high):
             raise DistributionSpecError(
                 "need d_low < d_high, got [%r, %r]" % (self.d_low, self.d_high))
@@ -110,47 +118,19 @@ class DistributionSpec:
             raise DistributionSpecError(
                 "grid_points must be in [1000, 100000], got %d" % self.grid_points)
 
-    # -- factories ---------------------------------------------------------
-
     @classmethod
-    def power(cls, mu: float, d_low: float, d_high: float,
-              grid_points: int = 10000) -> "DistributionSpec":
-        return cls("power", d_low, d_high, grid_points, (("mu", float(mu)),))
+    def of(cls, kind: str, d_low: float, d_high: float, grid_points: int = 10000,
+           **params: float) -> "DistributionSpec":
+        """The spec of ``DENSITIES[kind]`` with its parameters given by name.
 
-    @classmethod
-    def pade14(cls, p2: float, p4: float, d_low: float, d_high: float,
-               grid_points: int = 10000) -> "DistributionSpec":
-        return cls("pade14", d_low, d_high, grid_points,
-                   (("p2", float(p2)), ("p4", float(p4))))
-
-    @classmethod
-    def log_over_x(cls, d_low: float, d_high: float,
-                   grid_points: int = 10000) -> "DistributionSpec":
-        return cls("log_over_x", d_low, d_high, grid_points)
-
-    @classmethod
-    def inv_xlogx(cls, d_low: float, d_high: float,
-                  grid_points: int = 10000) -> "DistributionSpec":
-        return cls("inv_xlogx", d_low, d_high, grid_points)
-
-    @classmethod
-    def sqrt_inv(cls, d_low: float, d_high: float,
-                 grid_points: int = 10000) -> "DistributionSpec":
-        return cls("sqrt_inv", d_low, d_high, grid_points)
-
-    @classmethod
-    def power_growth(cls, exponent: float, d_low: float, d_high: float,
-                     grid_points: int = 10000) -> "DistributionSpec":
-        return cls("power_growth", d_low, d_high, grid_points,
-                   (("exponent", float(exponent)),))
-
-    @classmethod
-    def two_power(cls, a1: float, mu1: float, a2: float, mu2: float,
-                  d_low: float, d_high: float,
-                  grid_points: int = 10000) -> "DistributionSpec":
-        return cls("two_power", d_low, d_high, grid_points,
-                   (("a1", float(a1)), ("mu1", float(mu1)),
-                    ("a2", float(a2)), ("mu2", float(mu2))))
+        The values are converted with float() and put in the registry's
+        order, so keyword order does not matter; names the registry lacks go
+        last, and __post_init__ rejects them with every other mismatch.
+        """
+        order = DENSITIES[kind].params if kind in DENSITIES else ()
+        names = sorted(params, key=lambda name: order.index(name) if name in order else len(order))
+        return cls(kind, d_low, d_high, grid_points,
+                   tuple((name, float(params[name])) for name in names))
 
     # -- evaluation --------------------------------------------------------
 
@@ -180,18 +160,6 @@ class GridDistribution:
     cdf: np.ndarray
     slope: np.ndarray
     guide: np.ndarray
-
-
-@dataclass(frozen=True)
-class SampleRequest:
-    """How many draws to take and with which seed."""
-
-    n: int
-    seed: int
-
-    def __post_init__(self):
-        _check_draws(self.n)
-        _check_seed(self.seed)
 
 
 def _check_draws(n: int) -> None:
@@ -281,17 +249,20 @@ def _grid(xs: np.ndarray, pdf: np.ndarray, name: str) -> GridDistribution:
     return GridDistribution(xs=xs, pdf=pdf, cdf=cdf, slope=slope, guide=guide)
 
 
-def draw(dist: GridDistribution, req: SampleRequest) -> OrderedSample:
-    """Seeded inverse-CDF draws, returned as a descending OrderedSample.
+def draw(dist: GridDistribution, n: int, seed: int) -> OrderedSample:
+    """n seeded inverse-CDF draws, returned as a descending OrderedSample.
 
-    Each uniform of ``default_rng(seed)`` is mapped through the tabulated
+    Raises ValueError for n below 2 or a negative seed.  Each of the n
+    uniforms of ``default_rng(seed)`` is mapped through the tabulated
     CDF by linear interpolation between the bracketing grid nodes, bit for
     bit as ``np.interp(u, dist.cdf, dist.xs)``, so every draw lies in
     [xs[0], xs[-1]].  Identical (dist, n, seed) give identical samples.  The
     uniforms are mapped in sorted order, which leaves the sample unchanged
     (see the module docstring).
     """
-    u = np.random.default_rng(req.seed).random(req.n)
+    _check_draws(n)
+    _check_seed(seed)
+    u = np.random.default_rng(seed).random(n)
     return OrderedSample(_inverse_cdf(dist, u))
 
 
@@ -299,10 +270,10 @@ def draw_block(dist: GridDistribution, n: int,
                seeds: Sequence[int] | SeedStreams) -> np.ndarray:
     """The samples of several seeds at once, one row per seed.
 
-    Row i holds ``draw(dist, SampleRequest(n, seeds[i])).values`` bit for
-    bit, in descending order and C-contiguous, as OrderedSample holds it:
-    each seed draws its n uniforms from its own PCG64 stream, and the block
-    is mapped in one call.  ``seeds`` may be a :class:`SeedStreams`, so
+    Row i holds ``draw(dist, n, seeds[i]).values`` bit for bit, in
+    descending order and C-contiguous, as OrderedSample holds it: each seed
+    draws its n uniforms from its own PCG64 stream, and the block is mapped
+    in one call.  ``seeds`` may be a :class:`SeedStreams`, so
     that a caller drawing the same seeds on many grids seeds each of them
     once.
     """

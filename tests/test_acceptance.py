@@ -23,7 +23,7 @@ from tailest.estimator import (
     solve_iterative,
 )
 from tailest.experiments import TABLE_ROWS, run_figure, run_full_table
-from tailest.sampler import DistributionSpec, SampleRequest, draw, tabulate
+from tailest.sampler import DistributionSpec, draw, tabulate
 
 SEEDS = list(range(1, 21))
 
@@ -96,7 +96,7 @@ def test_criterion_3_method_agreement():
     for row in TABLE_ROWS.values():
         dist = tabulate(row.spec)
         for seed in range(1, 9):  # 13 x 8 = 104 samples
-            sample = draw(dist, SampleRequest(n=row.n_rand, seed=seed))
+            sample = draw(dist, row.n_rand, seed)
             window = full_window(sample)
             iterative = solve_iterative(sample, window)
             total += 1
@@ -160,11 +160,11 @@ def test_criterion_6_negative_exponent_recovery():
 def test_criterion_7_figure_behavior():
     checks = []
     for example_id, target, tol in ((15, 2.5, 0.15), (17, 0.5, 0.1)):
-        res = run_figure(example_id, seed=1)
-        n = len(res.series)
+        series = run_figure(example_id, seed=1)
+        n = len(series)
         tail = slice(n - n // 10, None)
-        improved = [v for v in res.series.mu_improved[tail] if v is not None]
-        hill = [v for v in res.series.mu_hill[tail] if v is not None]
+        improved = [v for v in series.mu_improved[tail] if v is not None]
+        hill = [v for v in series.mu_hill[tail] if v is not None]
         mean_improved = sum(improved) / len(improved)
         mean_hill = sum(hill) / len(hill)
         dev_improved = abs(mean_improved - target)
@@ -216,14 +216,14 @@ def test_criterion_8_property_suites():
         failures.append("gfun monotonicity")
 
     # sampler determinism
-    dist = tabulate(DistributionSpec.power(5.0, 3.0, 150.0))
-    if not np.array_equal(draw(dist, SampleRequest(1000, 123)).values,
-                          draw(dist, SampleRequest(1000, 123)).values):
+    dist = tabulate(DistributionSpec.of("power", 3.0, 150.0, mu=5.0))
+    if not np.array_equal(draw(dist, 1000, 123).values,
+                          draw(dist, 1000, 123).values):
         failures.append("sampler determinism")
 
     # inverse-CDF median: 1/x on [1, e^2] has median e
-    dist = tabulate(DistributionSpec.power(1.0, 1.0, math.e ** 2))
-    sample = draw(dist, SampleRequest(n=10000, seed=6))
+    dist = tabulate(DistributionSpec.of("power", 1.0, math.e ** 2, mu=1.0))
+    sample = draw(dist, 10000, 6)
     frac = float(np.mean(sample.values < math.e))
     if abs(frac - 0.5) > 4.0 * 0.5 / math.sqrt(10000):
         failures.append("inverse-CDF median (frac %.4f)" % frac)

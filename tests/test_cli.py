@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailest import _decimals, cli, experiments
-from tailest.sampler import DENSITIES, DistributionSpec, SampleRequest, draw, tabulate
+from tailest.sampler import DENSITIES, DistributionSpec, draw, tabulate
 
 E = math.e
 
@@ -137,6 +137,14 @@ class TestEstimate:
             code, out, err = _estimate(path, capsys, *flags)
             assert (code, out) == (2, "")
             assert err.startswith("error: %s " % flag) and err.count("\n") == 1
+
+    def test_r_at_or_beyond_the_sample_without_l_exits_4(self, tmp_path, capsys):
+        # the default l is the sample size, so the message names that, not l
+        path = tmp_path / "data.txt"
+        path.write_text("".join("%r\n" % (1.0 + 0.01 * v) for v in range(1000)))
+        for r in ("1000", "5000"):
+            assert _estimate(path, capsys, "--r", r) == (
+                4, "", "error: --r %s must be below the sample size 1000\n" % r)
 
     def test_plot_output(self, tmp_path, capsys):
         path = tmp_path / "data.txt"
@@ -406,6 +414,18 @@ class TestSimulate:
             assert _run(argv) == 2
             assert "error: %s must be >=" % flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound, value", [("--dhigh", "inf"), ("--dlow", "inf"),
+                                              ("--dlow", "nan")])
+    def test_non_finite_domain_exits_2(self, bound, value, capsys):
+        # refused before the grid is built, so numpy warns of nothing
+        argv = ["simulate", "--dist", "power", "--mu", "5", "--dlow", "3",
+                "--dhigh", "4", "--n", "100", "--seed", "1"]
+        argv[argv.index(bound) + 1] = value
+        assert _run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: d_%s must be finite, got %s\n" % (bound[3:], value)
+
     def test_draw_count_capped(self, tmp_path, capsys):
         # checked before any array is built: 10^13 draws would need ~1 PB
         out = tmp_path / "s.txt"
@@ -457,10 +477,8 @@ class TestSimulate:
         assert _run(["simulate", "--dist", density.cli_name, *flags, "--dlow", "3",
                      "--dhigh", "30", "--n", "300", "--seed", "11",
                      "--out", str(out)]) == 0
-        # the factory classmethods are named after the kinds
-        spec = getattr(DistributionSpec, kind)(
-            *(values[name] for name in density.params), 3.0, 30.0)
-        sample = draw(tabulate(spec), SampleRequest(n=300, seed=11))
+        spec = DistributionSpec.of(kind, 3.0, 30.0, **{name: values[name] for name in density.params})
+        sample = draw(tabulate(spec), 300, 11)
         written = [float(line) for line in out.read_text().split()]
         assert written == sample.values.tolist()
 
@@ -476,7 +494,7 @@ class TestSimulate:
 class TestTable:
     def test_degenerate_cell_names_row_and_seed_exit_4(self, tmp_path, capsys, monkeypatch):
         # two draws on a domain one float wide tie or round onto a bound
-        spec = DistributionSpec.power(5.0, 3.0, math.nextafter(3.0, 4.0))
+        spec = DistributionSpec.of("power", 3.0, math.nextafter(3.0, 4.0), mu=5.0)
         monkeypatch.setitem(experiments.TABLE_ROWS, 14,
                             experiments.TableRowSpec(14, spec, 2, 5.0))
         assert _run(["table", "--rows", "2,14", "--seeds", "3-4", "--out", str(tmp_path)]) == 4

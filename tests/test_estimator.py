@@ -27,7 +27,7 @@ from tailest.estimator import (
     solve_iterative,
 )
 from tailest.experiments import FIGURE_EXAMPLES, ITER5_MAX_ITERATIONS, TABLE_ROWS
-from tailest.sampler import SampleRequest, draw, tabulate
+from tailest.sampler import draw, tabulate
 
 # eleven values on two adjacent floats whose logs tie: ln X_l == ln X_r, and
 # the mean of the logs rounds below them, to a Hill excess of -2.2e-16
@@ -611,7 +611,7 @@ class TestHillPlotSeries:
         # the root is known to 50 digits from the sample's exact logs
         mpmath = pytest.importorskip("mpmath")
         fig = FIGURE_EXAMPLES[16]
-        sample = draw(tabulate(fig.spec), SampleRequest(n=fig.n_rand, seed=1))
+        sample = draw(tabulate(fig.spec), fig.n_rand, 1)
         series = hill_plot_series(sample, r=1)
         with mpmath.workdps(50):
             logs = [mpmath.log(mpmath.mpf(float(v))) for v in sample.values[:20]]
@@ -652,7 +652,7 @@ class TestFullWindowEstimates:
     @pytest.mark.parametrize("iterative, config", CONFIGS)
     def test_matches_one_sample_estimators(self, iterative, config, monkeypatch):
         _patch_solver(monkeypatch, config)
-        rows = [draw(tabulate(TABLE_ROWS[row].spec), SampleRequest(300, seed)).values
+        rows = [draw(tabulate(TABLE_ROWS[row].spec), 300, seed).values
                 for row in (1, 2, 5, 9, 13) for seed in (1, 2)]
         rows += [_log_uniform(300, seed).values for seed in (1, 2)]
         rows.append(rows[0][:123])  # a narrower block
@@ -672,7 +672,7 @@ class TestFullWindowEstimates:
 
     def test_each_sample_on_its_own(self):
         # 333 values: rows start at every offset within a SIMD register
-        rows = np.array([draw(tabulate(TABLE_ROWS[row].spec), SampleRequest(333, seed)).values
+        rows = np.array([draw(tabulate(TABLE_ROWS[row].spec), 333, seed).values
                          for row in (2, 4, 13) for seed in (1, 2, 3)])
         together = full_window_estimates([rows], ITER5_MAX_ITERATIONS)
         for i in range(len(rows)):

@@ -25,12 +25,11 @@ from tailest.experiments import (
     figure_csv,
     run_figure,
     run_full_table,
-    run_table_row,
     summarize_table,
     summary_csv,
     table_csv,
 )
-from tailest.sampler import DistributionSpec, SampleRequest, draw, sigma_statistic, tabulate
+from tailest.sampler import DistributionSpec, draw, sigma_statistic, tabulate
 from tailest.svgplot import hill_plot_svg
 
 
@@ -51,45 +50,45 @@ class TestRegistries:
 class TestRunTableRow:
     def test_unknown_row(self):
         with pytest.raises(ValueError):
-            run_table_row(0, seed=1)
+            run_full_table([1], [0])
         with pytest.raises(ValueError):
-            run_table_row(14, seed=1)
+            run_full_table([1], [14])
 
     def test_deterministic(self):
-        a = run_table_row(4, seed=3)
-        b = run_table_row(4, seed=3)
+        a = run_full_table([3], [4])[0]
+        b = run_full_table([3], [4])[0]
         assert a == b
 
     def test_observed_bounds_inside_domain(self):
         for row_id in (1, 7, 13):
-            res = run_table_row(row_id, seed=1)
-            assert res.observed_low >= res.spec.d_low
-            assert res.observed_high <= res.spec.d_high
+            res = run_full_table([1], [row_id])[0]
+            assert res.observed_low >= TABLE_ROWS[row_id].spec.d_low
+            assert res.observed_high <= TABLE_ROWS[row_id].spec.d_high
 
     def test_tight_cut_breaks_hill_not_improved(self):
         # x^-5 restricted to [3, 4]: the classical estimate roughly doubles
         # while the bounded-domain one stays near 5
-        res = run_table_row(2, seed=1)
+        res = run_full_table([1], [2])[0]
         assert res.mu_hill > 7.0
         assert abs(res.mu_iter5 - 5.0) < 1.0
 
     def test_wide_domain_both_work(self):
-        res = run_table_row(1, seed=1)
+        res = run_full_table([1], [1])[0]
         assert abs(res.mu_hill - 5.0) < 0.5
         assert abs(res.mu_iter5 - 5.0) < 0.5
         assert abs(res.mu_hill - res.mu_iter5) < 0.1
 
     def test_increasing_density_sign(self):
-        res = run_table_row(13, seed=1)
+        res = run_full_table([1], [13])[0]
         assert res.mu_hill > 0.0
         assert res.mu_iter5 < 0.0
         assert abs(res.mu_iter5 - (-3.5)) < 0.5
 
     def test_iter5_close_to_direct_when_converged(self):
         for row_id in sorted(TABLE_ROWS):
-            res = run_table_row(row_id, seed=2)
+            res = run_full_table([2], [row_id])[0]
             entry = TABLE_ROWS[row_id]
-            sample = draw(tabulate(entry.spec), SampleRequest(entry.n_rand, 2))
+            sample = draw(tabulate(entry.spec), entry.n_rand, 2)
             capped = solve_iterative(sample, full_window(sample), ITER5_MAX_ITERATIONS)
             if capped.converged:
                 assert abs(res.mu_iter5 - res.mu_direct) < 1e-3
@@ -97,9 +96,9 @@ class TestRunTableRow:
     def test_uncapped_iteration_matches_direct(self):
         for row_id in sorted(TABLE_ROWS):
             entry = TABLE_ROWS[row_id]
-            sample = draw(tabulate(entry.spec), SampleRequest(entry.n_rand, 1))
+            sample = draw(tabulate(entry.spec), entry.n_rand, 1)
             res = solve_iterative(sample, full_window(sample), max_iterations=100)
-            direct = run_table_row(row_id, seed=1).mu_direct
+            direct = run_full_table([1], [row_id])[0].mu_direct
             if res.converged:
                 assert abs(res.mu - direct) < 1e-6
 
@@ -129,14 +128,14 @@ class TestRunFullTable:
         assert [(r.row_id, r.seed) for r in results] == [
             (row, seed) for row in TABLE_ROWS for seed in seeds]
         for res in results:
-            assert res == run_table_row(res.row_id, res.seed)
+            assert res == run_full_table([res.seed], [res.row_id])[0]
 
     def test_matches_one_sample_estimators(self):
         # the per-cell calls the runner used to make: same draws, sigma, Hill
         # and both solvers bit for bit
         for res in run_full_table(range(1, 6)):
             entry = TABLE_ROWS[res.row_id]
-            sample = draw(tabulate(entry.spec), SampleRequest(entry.n_rand, res.seed))
+            sample = draw(tabulate(entry.spec), entry.n_rand, res.seed)
             window = full_window(sample)
             assert res.observed_low == sample.values[-1]
             assert res.observed_high == sample.values[0]
@@ -150,11 +149,11 @@ class TestRunFullTable:
     def test_degenerate_cell_raises_like_one_sample_path(self, monkeypatch):
         # two draws on a domain one float wide: their values or logs tie, or
         # the mean log rounds onto a bound
-        spec = DistributionSpec.power(5.0, 3.0, math.nextafter(3.0, 4.0))
+        spec = DistributionSpec.of("power", 3.0, math.nextafter(3.0, 4.0), mu=5.0)
         monkeypatch.setitem(TABLE_ROWS, 14, TableRowSpec(14, spec, 2, 5.0))
         dist = tabulate(spec)
         for seed in range(1, 6):
-            sample = draw(dist, SampleRequest(2, seed))
+            sample = draw(dist, 2, seed)
             window = full_window(sample)
             with pytest.raises(EstimationError) as scalar:
                 hill_estimate(sample, 2)
@@ -229,19 +228,20 @@ class TestRunFigure:
         assert str(ranged.value) == "unknown table rows [-5..0, 14..114] (valid: 1..13)"
 
     def test_pade_example_shape(self):
-        res = run_figure(14, seed=1)
-        assert res.figure_number == 1
-        assert res.expected_mu == 4.0
-        assert res.series.l_values[0] == 2
-        assert res.series.l_values[-1] == res.n_rand
-        assert len(res.series) == res.n_rand - 1
+        fig = FIGURE_EXAMPLES[14]
+        series = run_figure(14, seed=1)
+        assert fig.figure_number == 1
+        assert fig.expected_mu == 4.0
+        assert series.l_values[0] == 2
+        assert series.l_values[-1] == fig.n_rand
+        assert len(series) == fig.n_rand - 1
 
     def test_pade_example_tail_behavior(self):
         # improved series settles near 4 while the classical one sits higher
-        res = run_figure(14, seed=1)
-        tail = slice(len(res.series) - len(res.series) // 10, None)
-        improved = [v for v in res.series.mu_improved[tail] if v is not None]
-        hill = [v for v in res.series.mu_hill[tail] if v is not None]
+        series = run_figure(14, seed=1)
+        tail = slice(len(series) - len(series) // 10, None)
+        improved = [v for v in series.mu_improved[tail] if v is not None]
+        hill = [v for v in series.mu_hill[tail] if v is not None]
         mean_improved = sum(improved) / len(improved)
         mean_hill = sum(hill) / len(hill)
         assert abs(mean_improved - 4.0) < 0.4
@@ -251,11 +251,11 @@ class TestRunFigure:
         # ln(x)/x density: the slowly varying numerator drags the effective
         # exponent below 1, which the bounded-domain series tracks while the
         # classical series stays far above
-        res = run_figure(16, seed=1)
-        ls = res.series.l_values
-        late_improved = [v for l, v in zip(ls, res.series.mu_improved)
+        series = run_figure(16, seed=1)
+        ls = series.l_values
+        late_improved = [v for l, v in zip(ls, series.mu_improved)
                          if l > 9000 and v is not None]
-        late_hill = [v for l, v in zip(ls, res.series.mu_hill)
+        late_hill = [v for l, v in zip(ls, series.mu_hill)
                      if l > 9000 and v is not None]
         mean_improved = sum(late_improved) / len(late_improved)
         mean_hill = sum(late_hill) / len(late_hill)
@@ -266,8 +266,8 @@ class TestRunFigure:
 
 class TestSvg:
     def test_well_formed_and_complete(self):
-        res = run_figure(14, seed=1)
-        svg = hill_plot_svg(res.series, res.expected_mu, title="demo")
+        svg = hill_plot_svg(run_figure(14, seed=1), FIGURE_EXAMPLES[14].expected_mu,
+                            title="demo")
         root = ET.parse(io.StringIO(svg)).getroot()
         assert root.tag.endswith("svg")
         polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
@@ -303,8 +303,8 @@ class TestSvg:
         return " ".join(["%.2f,%.2f" % point for point in zip(xs, ys)])
 
     def test_matches_per_point_formatter(self, monkeypatch):
-        cases = [(res.series, res.expected_mu) for res in
-                 (run_figure(example, seed=1) for example in (14, 15, 16, 17))]
+        cases = [(run_figure(example, seed=1), FIGURE_EXAMPLES[example].expected_mu)
+                 for example in (14, 15, 16, 17)]
         cases += [
             (HillPlotSeries(l_values=[2, 3, 4, 5],
                             mu_hill=[None, 3.0, 2.5, 2.4],

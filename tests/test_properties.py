@@ -22,7 +22,7 @@ from tailest.estimator import (
     solve_direct,
     solve_iterative,
 )
-from tailest.sampler import DistributionSpec, SampleRequest, _grid, _inverse_cdf, draw, tabulate
+from tailest.sampler import DistributionSpec, _grid, _inverse_cdf, draw, tabulate
 from tailest.svgplot import _format_points
 
 
@@ -161,19 +161,19 @@ def test_scale_invariance_of_both_estimators():
 def test_method_agreement_on_seeded_samples():
     # uncapped iteration agrees with the direct solver wherever it converges
     specs = [
-        (DistributionSpec.power(5.0, 3.0, 150.0), 400),
-        (DistributionSpec.power(5.0, 3.0, 4.0), 400),
-        (DistributionSpec.sqrt_inv(3.0, 1500.0), 400),
-        (DistributionSpec.log_over_x(100.0, 400.0), 400),
-        (DistributionSpec.inv_xlogx(3000.0, 6000.0), 400),
-        (DistributionSpec.power_growth(3.5, 3.0, 10000.0), 400),
-        (DistributionSpec.pade14(494.7, 4886.0, 1.0, 5.0), 400),
+        (DistributionSpec.of("power", 3.0, 150.0, mu=5.0), 400),
+        (DistributionSpec.of("power", 3.0, 4.0, mu=5.0), 400),
+        (DistributionSpec.of("sqrt_inv", 3.0, 1500.0), 400),
+        (DistributionSpec.of("log_over_x", 100.0, 400.0), 400),
+        (DistributionSpec.of("inv_xlogx", 3000.0, 6000.0), 400),
+        (DistributionSpec.of("power_growth", 3.0, 10000.0, exponent=3.5), 400),
+        (DistributionSpec.of("pade14", 1.0, 5.0, p2=494.7, p4=4886.0), 400),
     ]
     converged = total = 0
     for spec, n in specs:
         dist = tabulate(spec)
         for seed in range(1, 6):
-            sample = draw(dist, SampleRequest(n=n, seed=seed))
+            sample = draw(dist, n, seed)
             w = full_window(sample)
             it = solve_iterative(sample, w)
             total += 1
