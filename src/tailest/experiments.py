@@ -10,7 +10,8 @@ estimate, the bounded-domain estimate after four fixed-point updates
 
 The figure scenarios produce full generalized Hill plots (estimate versus
 number of included order statistics) for densities whose classical plot is
-known to mislead.
+known to mislead.  Each report is a dict of its CSV columns keyed by the
+header names, and one row writer, ``_csv_rows``, writes them all.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .sampler import DistributionSpec, SeedStreams, draw, draw_block, tabulate
 __all__ = [
     "TABLE_ROWS",
     "FIGURE_EXAMPLES",
-    "TableRowResult",
-    "RowSummary",
     "TableRowError",
     "FigureExampleError",
     "check_table_rows",
@@ -44,9 +43,6 @@ __all__ = [
 
 # Four applications of the fixed-point update on top of the Hill seed.
 ITER5_MAX_ITERATIONS = 4
-
-TABLE_CSV_HEADER = "row,seed,mu_input,sigma,L,R,mu_hill,mu_iter5,mu_direct"
-FIGURE_CSV_HEADER = "l,mu_hill,mu_improved"
 
 
 class TableRowError(ValueError):
@@ -165,34 +161,6 @@ def check_figure_examples(ids: Iterable[int | range]) -> None:
     _check_ids(ids, FIGURE_EXAMPLES, "figure examples", FigureExampleError)
 
 
-@dataclass(frozen=True)
-class TableRowResult:
-    row_id: int
-    seed: int
-    observed_low: float   # smallest draw
-    observed_high: float  # largest draw
-    sigma: float
-    mu_input: float
-    mu_hill: float
-    mu_iter5: float
-    mu_direct: float
-
-
-@dataclass(frozen=True)
-class RowSummary:
-    """Across-seed mean and standard deviation for one table row."""
-
-    row_id: int
-    mu_input: float
-    n_seeds: int
-    mean_mu_hill: float
-    std_mu_hill: float
-    mean_mu_iter5: float
-    std_mu_iter5: float
-    mean_mu_direct: float
-    std_mu_direct: float
-
-
 # Draws per block of seeds that run_full_table maps and sorts together.
 # Each block-sized array costs 128 KB.  A whole row at once (100 seeds of
 # 5000 draws) doubled the command's peak memory; larger blocks than this
@@ -201,13 +169,15 @@ _BLOCK_VALUES = 1 << 14
 
 
 def run_full_table(seeds: Sequence[int],
-                   rows: Sequence[int] = tuple(TABLE_ROWS)) -> list[TableRowResult]:
-    """Run the given table rows (default all 13) for every seed.
+                   rows: Sequence[int] = tuple(TABLE_ROWS)) -> dict[str, list]:
+    """The columns of ``table.csv`` for the given rows (default all 13) and seeds.
 
-    Results are ordered by row, then seed, each in the order given.  Each
-    seed's generator is seeded once (:class:`SeedStreams`) and replayed for
-    every row.  Each row's grid is tabulated once, and its seeds are drawn
-    in blocks of up to 2^14 values: :func:`draw_block` gives every seed the
+    Each column is a list of Python ints or floats keyed by its header name
+    ("L" and "R" are the smallest and largest draw), with one entry per
+    cell, ordered by row, then seed, each in the order given.  Each seed's
+    generator is seeded once (:class:`SeedStreams`) and replayed for every
+    row.  Each row's grid is tabulated once, and its seeds are drawn in
+    blocks of up to 2^14 values: :func:`draw_block` gives every seed the
     sample ``draw`` would, bit for bit.  :func:`full_window_estimates`
     reduces each block as it is drawn and then solves every cell of the
     table at once.  No cell depends on the cells beside it: sigma, L, R,
@@ -231,21 +201,13 @@ def run_full_table(seeds: Sequence[int],
         column.tolist()
         for column in full_window_estimates(_draw_blocks(entries, streams), ITER5_MAX_ITERATIONS,
                                             name=cell))
-    cells = ((entry, seed) for entry in entries for seed in seeds)
-    return [
-        TableRowResult(
-            row_id=entry.row_id,
-            seed=seed,
-            observed_low=low[i],
-            observed_high=high[i],
-            sigma=sigma[i],
-            mu_input=entry.mu_input,
-            mu_hill=mu_hill[i],
-            mu_iter5=mu_iter5[i],
-            mu_direct=mu_direct[i],
-        )
-        for i, (entry, seed) in enumerate(cells)
-    ]
+    return {
+        "row": [entry.row_id for entry in entries for _ in seeds],
+        "seed": [seed for _ in entries for seed in seeds],
+        "mu_input": [entry.mu_input for entry in entries for _ in seeds],
+        "sigma": sigma, "L": low, "R": high,
+        "mu_hill": mu_hill, "mu_iter5": mu_iter5, "mu_direct": mu_direct,
+    }
 
 
 def _draw_blocks(entries: Sequence[TableRowSpec], streams: SeedStreams) -> Iterator[np.ndarray]:
@@ -267,67 +229,54 @@ def run_figure(example_id: int, seed: int) -> HillPlotSeries:
     return hill_plot_series(draw(tabulate(fig.spec), fig.n_rand, seed), r=1)
 
 
-def summarize_table(results: list[TableRowResult]) -> list[RowSummary]:
-    """Per-row across-seed mean/std of the three estimates."""
-    by_row: dict[int, list[TableRowResult]] = {}
-    for res in results:
-        by_row.setdefault(res.row_id, []).append(res)
-
-    def stats(values: list[float]) -> tuple[float, float]:
-        if len(values) == 1:
-            return values[0], 0.0
-        return statistics.fmean(values), statistics.stdev(values)
-
-    summaries = []
-    for row_id in sorted(by_row):
-        group = by_row[row_id]
-        mh, sh = stats([g.mu_hill for g in group])
-        mi, si = stats([g.mu_iter5 for g in group])
-        md, sd = stats([g.mu_direct for g in group])
-        summaries.append(RowSummary(
-            row_id=row_id,
-            mu_input=group[0].mu_input,
-            n_seeds=len(group),
-            mean_mu_hill=mh, std_mu_hill=sh,
-            mean_mu_iter5=mi, std_mu_iter5=si,
-            mean_mu_direct=md, std_mu_direct=sd,
-        ))
-    return summaries
+def summarize_table(table: dict[str, list]) -> dict[str, list]:
+    """The columns of ``table_summary.csv``: one entry per row id, sorted,
+    with the mean and standard deviation of each estimate over all the
+    cells of that id; a single cell gives its value and 0.0."""
+    cells: dict[int, list[int]] = {}
+    for i, row_id in enumerate(table["row"]):
+        cells.setdefault(row_id, []).append(i)
+    groups = [cells[row_id] for row_id in sorted(cells)]
+    summary = {"row": sorted(cells), "mu_input": [table["mu_input"][g[0]] for g in groups],
+               "n_seeds": [len(g) for g in groups]}
+    for name in ("mu_hill", "mu_iter5", "mu_direct"):
+        values = [[table[name][i] for i in g] for g in groups]
+        summary["mean_" + name] = [statistics.fmean(v) for v in values]
+        summary["std_" + name] = [statistics.stdev(v) if len(v) > 1 else 0.0 for v in values]
+    return summary
 
 
 # --------------------------------------------------------------------------
-# CSV emission.  Numbers are written with Python's shortest round-trip
-# representation; absent series entries become empty fields.
+# CSV emission.  Every report is a dict of its columns keyed by the header,
+# and _csv_rows is the one place a value becomes text.
 
 
-def table_csv(results: list[TableRowResult]) -> str:
-    lines = [TABLE_CSV_HEADER]
-    for r in results:
-        lines.append(",".join(str(v) for v in (
-            r.row_id, r.seed, r.mu_input, r.sigma,
-            r.observed_low, r.observed_high,
-            r.mu_hill, r.mu_iter5, r.mu_direct)))
-    return "\n".join(lines) + "\n"
+def _csv_rows(columns: Sequence[Sequence]) -> Iterator[str]:
+    """One line (without its end) per entry of the equal-length columns: str()
+    of each value, the shortest round-trip form of a float, and an empty
+    field for None.  Lines are formatted one at a time, as they are joined."""
+    line = ",".join(["%s"] * len(columns))
+    columns = [column if None not in column else ["" if v is None else v for v in column]
+               for column in columns]
+    return (line % row for row in zip(*columns))
 
 
-def summary_csv(summaries: list[RowSummary]) -> str:
-    header = ("row,mu_input,n_seeds,mean_mu_hill,std_mu_hill,"
-              "mean_mu_iter5,std_mu_iter5,mean_mu_direct,std_mu_direct")
-    lines = [header]
-    for s in summaries:
-        lines.append(",".join(str(v) for v in (
-            s.row_id, s.mu_input, s.n_seeds,
-            s.mean_mu_hill, s.std_mu_hill,
-            s.mean_mu_iter5, s.std_mu_iter5,
-            s.mean_mu_direct, s.std_mu_direct)))
-    return "\n".join(lines) + "\n"
+def _csv(columns: dict[str, Sequence]) -> str:
+    """The text of a CSV report: the keys as the header, then the rows."""
+    return "\n".join([",".join(columns), *_csv_rows(list(columns.values()))]) + "\n"
+
+
+def table_csv(table: dict[str, list]) -> str:
+    """``table.csv`` for the columns :func:`run_full_table` returns."""
+    return _csv(table)
+
+
+def summary_csv(summary: dict[str, list]) -> str:
+    """``table_summary.csv`` for the columns :func:`summarize_table` returns."""
+    return _csv(summary)
 
 
 def figure_csv(series: HillPlotSeries) -> str:
-    lines = [FIGURE_CSV_HEADER]
-    for l, mh, mi in zip(series.l_values, series.mu_hill, series.mu_improved):
-        lines.append("%d,%s,%s" % (
-            l,
-            "" if mh is None else str(mh),
-            "" if mi is None else str(mi)))
-    return "\n".join(lines) + "\n"
+    """A plot CSV, ``l,mu_hill,mu_improved``; a blank entry is an empty field."""
+    return _csv({"l": series.l_values, "mu_hill": series.mu_hill,
+                 "mu_improved": series.mu_improved})

@@ -117,7 +117,7 @@ def test_criterion_4_table_reproduction():
     results, elapsed = _table_results()
     means = {}
     for row_id in sorted(TABLE_ROWS):
-        group = [r.mu_iter5 for r in results if r.row_id == row_id]
+        group = [mu for row, mu in zip(results["row"], results["mu_iter5"]) if row == row_id]
         assert len(group) == len(SEEDS)
         means[row_id] = sum(group) / len(group)
     bands = {
@@ -141,8 +141,9 @@ def test_criterion_5_horror_plot_separation():
     failures = []
     for row_id in (2, 3, 4, 5, 6, 11, 13):
         mu_in = TABLE_ROWS[row_id].mu_input
-        wins = sum(1 for r in results if r.row_id == row_id
-                   and abs(r.mu_iter5 - mu_in) < abs(r.mu_hill - mu_in))
+        wins = sum(1 for row, iter5, hill in zip(results["row"], results["mu_iter5"],
+                                                 results["mu_hill"])
+                   if row == row_id and abs(iter5 - mu_in) < abs(hill - mu_in))
         if wins < 19:
             failures.append((row_id, wins))
     _report(5, "horror-plot separation", not failures,
@@ -151,8 +152,9 @@ def test_criterion_5_horror_plot_separation():
 
 def test_criterion_6_negative_exponent_recovery():
     results, _ = _table_results()
-    row13 = [r for r in results if r.row_id == 13]
-    good = sum(1 for r in row13 if r.mu_iter5 < 0.0 and r.mu_hill > 0.0)
+    row13 = [(iter5, hill) for row, iter5, hill in zip(results["row"], results["mu_iter5"],
+                                                        results["mu_hill"]) if row == 13]
+    good = sum(1 for iter5, hill in row13 if iter5 < 0.0 and hill > 0.0)
     _report(6, "negative-exponent recovery", good == len(SEEDS),
             "%d/%d seeds with opposite signs" % (good, len(SEEDS)))
 

@@ -553,7 +553,7 @@ class TestTable:
         assert _run(["table", "--seeds", "1-5", "--out", str(tmp_path)]) == 0
         got = (tmp_path / "table.csv").read_text().splitlines()
         want = (Path(__file__).parent / "data" / "table_seeds_1-5.csv").read_text().splitlines()
-        assert got[0] == want[0] == experiments.TABLE_CSV_HEADER
+        assert got[0] == want[0] == "row,seed,mu_input,sigma,L,R,mu_hill,mu_iter5,mu_direct"
         assert len(got) == len(want) == 1 + 13 * 5
         for got_line, want_line in zip(got[1:], want[1:]):
             got_cells, want_cells = got_line.split(","), want_line.split(",")

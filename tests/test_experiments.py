@@ -1,5 +1,7 @@
+import csv
 import io
 import math
+import statistics
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -33,6 +35,11 @@ from tailest.sampler import DistributionSpec, draw, sigma_statistic, tabulate
 from tailest.svgplot import hill_plot_svg
 
 
+def _cells(table):
+    """The table's cells in order, each a dict of its column values."""
+    return [dict(zip(table, values)) for values in zip(*table.values())]
+
+
 class TestRegistries:
     def test_table_rows_complete(self):
         assert sorted(TABLE_ROWS) == list(range(1, 14))
@@ -55,59 +62,61 @@ class TestRunTableRow:
             run_full_table([1], [14])
 
     def test_deterministic(self):
-        a = run_full_table([3], [4])[0]
-        b = run_full_table([3], [4])[0]
+        a = run_full_table([3], [4])
+        b = run_full_table([3], [4])
         assert a == b
 
     def test_observed_bounds_inside_domain(self):
         for row_id in (1, 7, 13):
-            res = run_full_table([1], [row_id])[0]
-            assert res.observed_low >= TABLE_ROWS[row_id].spec.d_low
-            assert res.observed_high <= TABLE_ROWS[row_id].spec.d_high
+            res = _cells(run_full_table([1], [row_id]))[0]
+            assert res["L"] >= TABLE_ROWS[row_id].spec.d_low
+            assert res["R"] <= TABLE_ROWS[row_id].spec.d_high
 
     def test_tight_cut_breaks_hill_not_improved(self):
         # x^-5 restricted to [3, 4]: the classical estimate roughly doubles
         # while the bounded-domain one stays near 5
-        res = run_full_table([1], [2])[0]
-        assert res.mu_hill > 7.0
-        assert abs(res.mu_iter5 - 5.0) < 1.0
+        res = _cells(run_full_table([1], [2]))[0]
+        assert res["mu_hill"] > 7.0
+        assert abs(res["mu_iter5"] - 5.0) < 1.0
 
     def test_wide_domain_both_work(self):
-        res = run_full_table([1], [1])[0]
-        assert abs(res.mu_hill - 5.0) < 0.5
-        assert abs(res.mu_iter5 - 5.0) < 0.5
-        assert abs(res.mu_hill - res.mu_iter5) < 0.1
+        res = _cells(run_full_table([1], [1]))[0]
+        assert abs(res["mu_hill"] - 5.0) < 0.5
+        assert abs(res["mu_iter5"] - 5.0) < 0.5
+        assert abs(res["mu_hill"] - res["mu_iter5"]) < 0.1
 
     def test_increasing_density_sign(self):
-        res = run_full_table([1], [13])[0]
-        assert res.mu_hill > 0.0
-        assert res.mu_iter5 < 0.0
-        assert abs(res.mu_iter5 - (-3.5)) < 0.5
+        res = _cells(run_full_table([1], [13]))[0]
+        assert res["mu_hill"] > 0.0
+        assert res["mu_iter5"] < 0.0
+        assert abs(res["mu_iter5"] - (-3.5)) < 0.5
 
     def test_iter5_close_to_direct_when_converged(self):
         for row_id in sorted(TABLE_ROWS):
-            res = run_full_table([2], [row_id])[0]
+            res = _cells(run_full_table([2], [row_id]))[0]
             entry = TABLE_ROWS[row_id]
             sample = draw(tabulate(entry.spec), entry.n_rand, 2)
             capped = solve_iterative(sample, full_window(sample), ITER5_MAX_ITERATIONS)
             if capped.converged:
-                assert abs(res.mu_iter5 - res.mu_direct) < 1e-3
+                assert abs(res["mu_iter5"] - res["mu_direct"]) < 1e-3
 
     def test_uncapped_iteration_matches_direct(self):
         for row_id in sorted(TABLE_ROWS):
             entry = TABLE_ROWS[row_id]
             sample = draw(tabulate(entry.spec), entry.n_rand, 1)
             res = solve_iterative(sample, full_window(sample), max_iterations=100)
-            direct = run_full_table([1], [row_id])[0].mu_direct
+            direct = run_full_table([1], [row_id])["mu_direct"][0]
             if res.converged:
                 assert abs(res.mu - direct) < 1e-6
 
 
 class TestRunFullTable:
     def test_counts_and_order(self):
-        results = run_full_table([1, 2])
-        assert len(results) == 26
-        keys = [(r.row_id, r.seed) for r in results]
+        table = run_full_table([1, 2])
+        assert list(table) == ["row", "seed", "mu_input", "sigma", "L", "R",
+                               "mu_hill", "mu_iter5", "mu_direct"]
+        assert all(len(column) == 26 for column in table.values())
+        keys = list(zip(table["row"], table["seed"]))
         assert keys == sorted(keys)
 
     def test_requires_seeds(self):
@@ -124,27 +133,27 @@ class TestRunFullTable:
         # draws 5000 values per seed, so its 40 seeds span several blocks
         seeds = range(1, 41)
         assert len(seeds) * TABLE_ROWS[3].n_rand > 2 * experiments._BLOCK_VALUES
-        results = run_full_table(seeds)
-        assert [(r.row_id, r.seed) for r in results] == [
+        table = run_full_table(seeds)
+        assert list(zip(table["row"], table["seed"])) == [
             (row, seed) for row in TABLE_ROWS for seed in seeds]
-        for res in results:
-            assert res == run_full_table([res.seed], [res.row_id])[0]
+        for res in _cells(table):
+            assert res == _cells(run_full_table([res["seed"]], [res["row"]]))[0]
 
     def test_matches_one_sample_estimators(self):
         # the per-cell calls the runner used to make: same draws, sigma, Hill
         # and both solvers bit for bit
-        for res in run_full_table(range(1, 6)):
-            entry = TABLE_ROWS[res.row_id]
-            sample = draw(tabulate(entry.spec), entry.n_rand, res.seed)
+        for res in _cells(run_full_table(range(1, 6))):
+            entry = TABLE_ROWS[res["row"]]
+            sample = draw(tabulate(entry.spec), entry.n_rand, res["seed"])
             window = full_window(sample)
-            assert res.observed_low == sample.values[-1]
-            assert res.observed_high == sample.values[0]
-            assert res.sigma == sigma_statistic(sample)
-            assert res.mu_hill == hill_estimate(sample, len(sample)).mu
+            assert res["L"] == sample.values[-1]
+            assert res["R"] == sample.values[0]
+            assert res["sigma"] == sigma_statistic(sample)
+            assert res["mu_hill"] == hill_estimate(sample, len(sample)).mu
             iter5 = solve_iterative(sample, window, ITER5_MAX_ITERATIONS).mu
             direct = improved_estimate(sample, window).mu
-            assert res.mu_iter5 == iter5
-            assert res.mu_direct == direct
+            assert res["mu_iter5"] == iter5
+            assert res["mu_direct"] == direct
 
     def test_degenerate_cell_raises_like_one_sample_path(self, monkeypatch):
         # two draws on a domain one float wide: their values or logs tie, or
@@ -167,15 +176,26 @@ class TestRunFullTable:
 
 class TestSummaries:
     def test_summary_shape(self):
-        results = run_full_table([1, 2, 3])
-        summaries = summarize_table(results)
-        assert [s.row_id for s in summaries] == list(range(1, 14))
-        assert all(s.n_seeds == 3 for s in summaries)
-        assert all(s.std_mu_hill >= 0.0 for s in summaries)
+        summary = summarize_table(run_full_table([1, 2, 3]))
+        assert summary["row"] == list(range(1, 14))
+        assert all(n == 3 for n in summary["n_seeds"])
+        assert all(std >= 0.0 for std in summary["std_mu_hill"])
 
     def test_single_seed_has_zero_std(self):
-        summaries = summarize_table(run_full_table([1]))
-        assert all(s.std_mu_iter5 == 0.0 for s in summaries)
+        summary = summarize_table(run_full_table([1]))
+        assert all(std == 0.0 for std in summary["std_mu_iter5"])
+
+    def test_repeated_and_unsorted_rows_are_merged(self):
+        # row 2 given twice, before row 1: its six cells make one summary row
+        table = run_full_table([1, 2, 3], [2, 1, 2])
+        summary = summarize_table(table)
+        assert summary["row"] == [1, 2]
+        assert summary["n_seeds"] == [3, 6]
+        for i, row_id in enumerate(summary["row"]):
+            for name in ("mu_hill", "mu_iter5", "mu_direct"):
+                cells = [v for row, v in zip(table["row"], table[name]) if row == row_id]
+                assert summary["mean_" + name][i] == statistics.fmean(cells)
+                assert summary["std_" + name][i] == statistics.stdev(cells)
 
 
 class TestCsv:
@@ -207,6 +227,35 @@ class TestCsv:
                         "2,1.5,\n"
                         "3,,0.5\n"
                         "4,2.0,0.75\n")
+
+
+    @staticmethod
+    def _report(name):
+        """A report's text and the columns its runner returned."""
+        if name == "figure":
+            series = run_figure(17, seed=1)
+            return figure_csv(series), {"l": series.l_values, "mu_hill": series.mu_hill,
+                                        "mu_improved": series.mu_improved}
+        table = run_full_table([1, 2, 3], [13, 2, 13])  # row 13's mu is negative
+        if name == "table":
+            return table_csv(table), table
+        summary = summarize_table(table)
+        return summary_csv(summary), summary
+
+    @pytest.mark.parametrize("name", ["table", "summary", "figure"])
+    def test_report_parses_back_to_runner_values(self, name):
+        text, columns = self._report(name)
+        header, *rows = csv.reader(io.StringIO(text))
+        assert header == list(columns)
+
+        def parse(field):
+            if field == "":
+                return None
+            return int(field) if field.lstrip("-").isdigit() else float(field)
+
+        parsed = [[parse(field) for field in column] for column in zip(*rows)]
+        assert [[(type(v), v) for v in column] for column in parsed] == [
+            [(type(v), v) for v in column] for column in columns.values()]
 
 
 class TestRunFigure:

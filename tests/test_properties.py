@@ -1,6 +1,7 @@
 """Randomized invariant checks with fixed seeds."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from tailest.estimator import (
     solve_direct,
     solve_iterative,
 )
+from tailest.experiments import _csv_rows
 from tailest.sampler import DistributionSpec, _grid, _inverse_cdf, draw, tabulate
 from tailest.svgplot import _format_points
 
@@ -311,6 +313,33 @@ def test_format_points_ties_edges_and_fallbacks():
                    ([], []), ([math.nan], [math.inf])):
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         assert _format_points(xs, ys) == _per_point(xs.tolist(), ys.tolist())
+
+
+# --------------------------------------------------------------------------
+# The CSV row writer against repr, the oracle any faster writer must match.
+# Floats come from random bit patterns (every exponent, subnormals, nan and
+# inf) and from the places repr changes layout or sign.
+
+_LAYOUT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                 1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), -1e-4,
+                 1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf), -1e16,
+                 2.0 ** 53, 2.0 ** 53 + 2.0, -3.5, -3.4999999999999996, 1.7976931348623157e308]
+csv_values = st.one_of(
+    st.none(),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.integers(min_value=0, max_value=2 ** 64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from(_LAYOUT_EDGES),
+)
+
+
+@KERNEL_SETTINGS
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda width: st.lists(st.lists(csv_values, min_size=width, max_size=width), max_size=30)))
+def test_csv_rows_match_repr(rows):
+    columns = [list(column) for column in zip(*rows)]
+    assert list(_csv_rows(columns)) == [
+        ",".join("" if v is None else repr(v) for v in row) for row in rows]
 
 
 # --------------------------------------------------------------------------
