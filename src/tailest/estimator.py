@@ -174,13 +174,14 @@ class EstimateResult:
 class HillPlotSeries:
     """Aligned per-l series of classical and bounded-domain estimates.
 
-    Entries are None where the corresponding estimate was degenerate or the
-    solver failed; the series itself is always complete in l.
+    ``l_values`` is an int64 array; ``mu_hill`` and ``mu_improved`` are
+    float64 arrays of the same length, NaN where the corresponding estimate
+    was degenerate or the solver failed.  The series is always complete in l.
     """
 
-    l_values: list[int]
-    mu_hill: list[float | None]
-    mu_improved: list[float | None]
+    l_values: np.ndarray
+    mu_hill: np.ndarray
+    mu_improved: np.ndarray
 
     def __len__(self) -> int:
         return len(self.l_values)
@@ -590,12 +591,6 @@ def _window_excess(values: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return span, span - mean
 
 
-def _none_for_nan(values: np.ndarray) -> list[float | None]:
-    out = values.astype(object)
-    out[np.isnan(values)] = None
-    return out.tolist()
-
-
 def hill_plot_series(sample: OrderedSample, r: int) -> HillPlotSeries:
     """Per-l series of classical and bounded-domain estimates, in O(n).
 
@@ -605,12 +600,13 @@ def hill_plot_series(sample: OrderedSample, r: int) -> HillPlotSeries:
     window's Hill excess and mean log in O(1); the improved entries are then
     solved together in the Newton loop that :func:`solve_direct` runs on one
     root, with its seed, bracket, step and residual tests.
-    An entry is None where the per-window estimators fail: a Hill excess
-    that is not positive, as tied top values give (Hill), X_l == X_r, a
-    mean log outside (ln X_l, ln X_r), no root within |delta| <= 1e4, or no
-    convergence within 100 steps.  Windows of values a few ulp apart are
-    the exception: the sweep takes exact differences to X_1 and X_r, which
-    stay positive where the per-window mean log rounds onto or past a bound.
+    The arrays are returned as the sweep computes them.  An entry is NaN
+    where the per-window estimators fail: a Hill excess that is not
+    positive, as tied top values give (Hill), X_l == X_r, a mean log outside
+    (ln X_l, ln X_r), no root within |delta| <= 1e4, or no convergence
+    within 100 steps.  Windows of values a few ulp apart are the exception:
+    the sweep takes exact differences to X_1 and X_r, which stay positive
+    where the per-window mean log rounds onto or past a bound.
     On 3.000000000000001 and twelve 3.0 the sweep reports mu_hill of
     3.4e16-4.4e16 at l = 10..13, where :func:`hill_estimate` rejects the
     window, and mu_improved at every l, where :func:`improved_estimate`
@@ -632,8 +628,4 @@ def hill_plot_series(sample: OrderedSample, r: int) -> HillPlotSeries:
     mu_improved = np.full(span.size, np.nan)
     mu_improved[todo[converged]] = alpha[converged] + 1.0
 
-    return HillPlotSeries(
-        l_values=list(range(r + 1, n + 1)),
-        mu_hill=_none_for_nan(mu_hill),
-        mu_improved=_none_for_nan(mu_improved),
-    )
+    return HillPlotSeries(np.arange(r + 1, n + 1, dtype=np.int64), mu_hill, mu_improved)

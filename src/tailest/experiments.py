@@ -254,10 +254,9 @@ def summarize_table(table: dict[str, list]) -> dict[str, list]:
 def _csv_rows(columns: Sequence[Sequence]) -> Iterator[str]:
     """One line (without its end) per entry of the equal-length columns: str()
     of each value, the shortest round-trip form of a float, and an empty
-    field for None.  Lines are formatted one at a time, as they are joined."""
+    field for NaN.  Lines are formatted one at a time, as they are joined."""
     line = ",".join(["%s"] * len(columns))
-    columns = [column if None not in column else ["" if v is None else v for v in column]
-               for column in columns]
+    columns = [["" if v != v else v for v in column] for column in columns]
     return (line % row for row in zip(*columns))
 
 
@@ -278,5 +277,5 @@ def summary_csv(summary: dict[str, list]) -> str:
 
 def figure_csv(series: HillPlotSeries) -> str:
     """A plot CSV, ``l,mu_hill,mu_improved``; a blank entry is an empty field."""
-    return _csv({"l": series.l_values, "mu_hill": series.mu_hill,
-                 "mu_improved": series.mu_improved})
+    return _csv({"l": series.l_values.tolist(), "mu_hill": series.mu_hill.tolist(),
+                 "mu_improved": series.mu_improved.tolist()})

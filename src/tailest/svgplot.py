@@ -87,16 +87,14 @@ def _polyline(xs, ys, style: str) -> str:
 def hill_plot_svg(series: HillPlotSeries, expected_mu: float,
                   title: str = "") -> str:
     """Render the series as a standalone SVG document string."""
-    l_values = np.asarray(series.l_values)
-    # None entries become NaN and are left out of the range and the lines
-    columns = [np.array(vs, dtype=float) for vs in (series.mu_hill, series.mu_improved)]
-    finite = np.concatenate([v[~np.isnan(v)] for v in columns])
+    # NaN entries are blanks: left out of the range and the lines
+    finite = np.concatenate([v[~np.isnan(v)] for v in (series.mu_hill, series.mu_improved)])
     y_lo = min(expected_mu, _percentile(finite, 0.02))
     y_hi = max(expected_mu, _percentile(finite, 0.98))
     pad = 0.08 * (y_hi - y_lo) or 1.0
     y_lo -= pad
     y_hi += pad
-    x_lo, x_hi = series.l_values[0], series.l_values[-1]
+    x_lo, x_hi = series.l_values[[0, -1]].tolist()
     x_span = max(x_hi - x_lo, 1)
 
     # the same arithmetic, in the same order, on arrays or scalars
@@ -111,7 +109,7 @@ def hill_plot_svg(series: HillPlotSeries, expected_mu: float,
         present = ~np.isnan(values)
         if not present.any():
             return []
-        return [_polyline(sx(l_values[present]), sy(values[present]), style)]
+        return [_polyline(sx(series.l_values[present]), sy(values[present]), style)]
 
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
@@ -134,7 +132,7 @@ def hill_plot_svg(series: HillPlotSeries, expected_mu: float,
     parts.append(_polyline(
         [sx(x_lo), sx(x_hi)], [sy(expected_mu), sy(expected_mu)],
         'stroke="grey" stroke-width="1" stroke-dasharray="8,4"'))
-    parts += line(columns[0], 'stroke="black" stroke-width="1"')
-    parts += line(columns[1], 'stroke="blue" stroke-width="1" stroke-dasharray="2,3"')
+    parts += line(series.mu_hill, 'stroke="black" stroke-width="1"')
+    parts += line(series.mu_improved, 'stroke="blue" stroke-width="1" stroke-dasharray="2,3"')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

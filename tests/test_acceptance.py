@@ -165,8 +165,10 @@ def test_criterion_7_figure_behavior():
         series = run_figure(example_id, seed=1)
         n = len(series)
         tail = slice(n - n // 10, None)
-        improved = [v for v in series.mu_improved[tail] if v is not None]
-        hill = [v for v in series.mu_hill[tail] if v is not None]
+        improved = series.mu_improved[tail]
+        hill = series.mu_hill[tail]
+        improved = improved[~np.isnan(improved)].tolist()
+        hill = hill[~np.isnan(hill)].tolist()
         mean_improved = sum(improved) / len(improved)
         mean_hill = sum(hill) / len(hill)
         dev_improved = abs(mean_improved - target)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -154,6 +155,21 @@ class TestEstimate:
         lines = plot.read_text().strip().split("\n")
         assert lines[0] == "l,mu_hill,mu_improved"
         assert len(lines) == 30  # header + (n - r) entries
+
+    @pytest.mark.parametrize("values, flags, digest", [
+        # blanks in both columns: l = 2, 3 ("2,,")
+        ("4\n4\n4\n2\n1\n", [],
+         "3afc3c3ddb889e161c2766510698475dde3be2ae5ce8075b7ac52c4786e6f20e"),
+        # blanks in mu_improved only: X_l == X_r at l = 3, 4 ("3,14.44...,")
+        ("5\n4\n4\n4\n2\n1\n", ["--r", "2"],
+         "13001e6ee611f535c71d5aba93211015af07d8d9850c7046ea813b969ed1da89"),
+    ], ids=["blank_in_both_columns", "blank_in_mu_improved"])
+    def test_plot_of_tied_sample_matches_golden_digest(self, values, flags, digest, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text(values)
+        plot = tmp_path / "series.csv"
+        assert _run(["estimate", str(path), *flags, "--plot", str(plot)]) == 0
+        assert hashlib.sha256(plot.read_bytes()).hexdigest() == digest
 
 
 def _values_past_first_block(n: int) -> str:
@@ -588,6 +604,24 @@ class TestFigure:
                 if field:
                     assert math.isfinite(float(field))
         assert svg_path.read_text().startswith("<svg")
+
+    # sha256 of each file `figure --examples 14-17 --seed 1` writes, recorded
+    # with numpy 2.4 on x86-64: the plot CSV and SVG writers keep every byte
+    GOLDEN = {
+        "figure1.csv": "46579298ce5342b8335c8887fc56b8de6bad1821a0e8abb57d93f7c19b36e03c",
+        "figure1.svg": "35c311b9018e8c0508847f1463fd64d4c7c354b5feecc21afbca345ebf76ef3d",
+        "figure2.csv": "1d15920366e229a6ba52737c27c5ebd9ffdb797d3dd0563fbcf10dd18828bd08",
+        "figure2.svg": "24669a931859e4ead93933bc27cb1630ba769cd2d2c52d444fbc40cdeb912958",
+        "figure3.csv": "883df0acae29468e64408a9a632ba899fa60450f7572fedee0a9da2bde652939",
+        "figure3.svg": "1722059354e67b121f49dee9c21f483e2894ecc04e964bcca56ad9fbc9298715",
+        "figure4.csv": "c6ae16185ab3fc1901ae97973a55b8d12498c0cef1343d7d13fa50e6a26cfea6",
+        "figure4.svg": "47c91b43a92afab150dc348cdce257e5424945f498dbeb4d95771146dbfd3743",
+    }
+
+    def test_matches_golden_digests(self, tmp_path):
+        assert _run(["figure", "--examples", "14-17", "--seed", "1", "--out", str(tmp_path)]) == 0
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in tmp_path.iterdir()} == self.GOLDEN
 
     def test_bad_example_exits_2(self, tmp_path, capsys):
         assert _run(["figure", "--examples", "3", "--out", str(tmp_path)]) == 2

@@ -516,16 +516,18 @@ class TestHillPlotSeries:
 
     def test_wide_domain_has_no_blank_entries(self):
         series = hill_plot_series(_log_uniform(400, 1), r=1)
-        assert all(v is not None for v in series.mu_improved)
+        assert not np.isnan(series.mu_improved).any()
 
     def test_degenerate_entries_absent(self):
         # leading ties make the first windows degenerate, not fatal
         s = OrderedSample([4.0, 4.0, 4.0, 2.0, 1.0])
         series = hill_plot_series(s, r=1)
-        assert series.mu_hill[0] is None  # top-2 values equal
-        assert series.mu_improved[0] is None
-        assert series.mu_hill[-1] is not None
-        assert series.mu_improved[-1] is not None
+        assert series.l_values.dtype == np.int64
+        assert series.mu_hill.dtype == series.mu_improved.dtype == np.float64
+        assert np.isnan(series.mu_hill[0])  # top-2 values equal
+        assert np.isnan(series.mu_improved[0])
+        assert not np.isnan(series.mu_hill[-1])
+        assert not np.isnan(series.mu_improved[-1])
 
     def test_hill_entries_have_positive_excess(self):
         # the sweep takes each Hill excess from exact differences to X_1, so it
@@ -533,27 +535,28 @@ class TestHillPlotSeries:
         # below; neither reports a Hill mu <= 1 (a negative alpha)
         s = OrderedSample(ROUNDS_BELOW)
         series = hill_plot_series(s, r=1)
-        for l, mu in zip(series.l_values, series.mu_hill):
-            assert mu is not None and mu > 1.0
+        for l, mu in zip(series.l_values.tolist(), series.mu_hill.tolist()):
+            assert mu > 1.0  # also false for a NaN blank
             try:
                 assert hill_estimate(s, l).mu > 1.0
             except DegenerateSampleError:
                 assert l >= 10
 
     def test_near_tied_values_are_reported_where_windows_fail(self):
-        # the documented exception to "None where the per-window estimators
+        # the documented exception to "NaN where the per-window estimators
         # fail": on values a few ulp apart the sweep's exact differences keep
         # a positive excess that the per-window mean log rounds away
         s = OrderedSample(ROUNDS_BELOW)
         series = hill_plot_series(s, r=1)
-        assert series.l_values == list(range(2, 14))
-        assert all(mu is not None for mu in series.mu_hill + series.mu_improved)
-        for l, mu in zip(series.l_values, series.mu_hill):
+        assert series.l_values.tolist() == list(range(2, 14))
+        assert not np.isnan(series.mu_hill).any()
+        assert not np.isnan(series.mu_improved).any()
+        for l, mu in zip(series.l_values.tolist(), series.mu_hill.tolist()):
             if l >= 10:
                 assert 3.3e16 < mu < 4.4e16
                 with pytest.raises(DegenerateSampleError):
                     hill_estimate(s, l)
-        for l in series.l_values:
+        for l in series.l_values.tolist():
             with pytest.raises(DegenerateSampleError):
                 improved_estimate(s, TailWindow(l, 1))
 
@@ -574,13 +577,13 @@ class TestHillPlotSeries:
             try:
                 hill.append(hill_estimate(sample, l).mu)
             except EstimationError:
-                hill.append(None)
+                hill.append(math.nan)
             try:
                 res = improved_estimate(sample, TailWindow(l=l, r=r))
-                improved.append(res.mu if res.converged else None)
+                improved.append(res.mu if res.converged else math.nan)
             except EstimationError:
-                improved.append(None)
-        return hill, improved
+                improved.append(math.nan)
+        return np.array(hill), np.array(improved)
 
     # config: solver settings patched for the case
     @pytest.mark.parametrize("sample, r, config, blanks", [
@@ -599,12 +602,12 @@ class TestHillPlotSeries:
         values = sample.values
         for column, expected, top in ((series.mu_hill, hill, values[0]),
                                       (series.mu_improved, improved, values[r - 1])):
-            assert [v is None for v in column] == [v is None for v in expected]
-            for l, got, want in zip(series.l_values, column, expected):
-                if want is not None and math.log(top / values[l - 1]) >= 1e-2:
+            assert np.array_equal(np.isnan(column), np.isnan(expected))
+            for l, got, want in zip(series.l_values.tolist(), column.tolist(), expected.tolist()):
+                if not math.isnan(want) and math.log(top / values[l - 1]) >= 1e-2:
                     assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), l
         # each case's blank-forcing input really leaves blank entries
-        assert sum(v is None for v in series.mu_improved) >= blanks
+        assert np.count_nonzero(np.isnan(series.mu_improved)) >= blanks
 
     def test_narrow_windows_match_exact_root(self):
         # windows (2..20, 1) of a figure sample span ln(R/L) ~ 1e-4..4e-3, where

@@ -35,6 +35,12 @@ from tailest.sampler import DistributionSpec, draw, sigma_statistic, tabulate
 from tailest.svgplot import hill_plot_svg
 
 
+def _series(l_values, mu_hill, mu_improved):
+    """A HillPlotSeries of the given entries, as the sweep's array types."""
+    return HillPlotSeries(np.array(l_values, dtype=np.int64), np.array(mu_hill, dtype=float),
+                          np.array(mu_improved, dtype=float))
+
+
 def _cells(table):
     """The table's cells in order, each a dict of its column values."""
     return [dict(zip(table, values)) for values in zip(*table.values())]
@@ -219,9 +225,7 @@ class TestCsv:
                 float(field)
 
     def test_figure_csv_blank_for_absent(self):
-        series = HillPlotSeries(l_values=[2, 3, 4],
-                                mu_hill=[1.5, None, 2.0],
-                                mu_improved=[None, 0.5, 0.75])
+        series = _series([2, 3, 4], [1.5, math.nan, 2.0], [math.nan, 0.5, 0.75])
         text = figure_csv(series)
         assert text == ("l,mu_hill,mu_improved\n"
                         "2,1.5,\n"
@@ -234,8 +238,9 @@ class TestCsv:
         """A report's text and the columns its runner returned."""
         if name == "figure":
             series = run_figure(17, seed=1)
-            return figure_csv(series), {"l": series.l_values, "mu_hill": series.mu_hill,
-                                        "mu_improved": series.mu_improved}
+            return figure_csv(series), {"l": series.l_values.tolist(),
+                                        "mu_hill": series.mu_hill.tolist(),
+                                        "mu_improved": series.mu_improved.tolist()}
         table = run_full_table([1, 2, 3], [13, 2, 13])  # row 13's mu is negative
         if name == "table":
             return table_csv(table), table
@@ -250,12 +255,16 @@ class TestCsv:
 
         def parse(field):
             if field == "":
-                return None
+                return math.nan
             return int(field) if field.lstrip("-").isdigit() else float(field)
 
+        def typed(column):
+            # NaN != NaN, so a blank compares as its type and the text "nan"
+            return [(type(v), "nan" if v != v else v) for v in column]
+
         parsed = [[parse(field) for field in column] for column in zip(*rows)]
-        assert [[(type(v), v) for v in column] for column in parsed] == [
-            [(type(v), v) for v in column] for column in columns.values()]
+        assert [typed(column) for column in parsed] == [
+            typed(column) for column in columns.values()]
 
 
 class TestRunFigure:
@@ -289,10 +298,8 @@ class TestRunFigure:
         # improved series settles near 4 while the classical one sits higher
         series = run_figure(14, seed=1)
         tail = slice(len(series) - len(series) // 10, None)
-        improved = [v for v in series.mu_improved[tail] if v is not None]
-        hill = [v for v in series.mu_hill[tail] if v is not None]
-        mean_improved = sum(improved) / len(improved)
-        mean_hill = sum(hill) / len(hill)
+        mean_improved = np.nanmean(series.mu_improved[tail])
+        mean_hill = np.nanmean(series.mu_hill[tail])
         assert abs(mean_improved - 4.0) < 0.4
         assert mean_hill > mean_improved
 
@@ -301,13 +308,9 @@ class TestRunFigure:
         # exponent below 1, which the bounded-domain series tracks while the
         # classical series stays far above
         series = run_figure(16, seed=1)
-        ls = series.l_values
-        late_improved = [v for l, v in zip(ls, series.mu_improved)
-                         if l > 9000 and v is not None]
-        late_hill = [v for l, v in zip(ls, series.mu_hill)
-                     if l > 9000 and v is not None]
-        mean_improved = sum(late_improved) / len(late_improved)
-        mean_hill = sum(late_hill) / len(late_hill)
+        late = series.l_values > 9000
+        mean_improved = np.nanmean(series.mu_improved[late])
+        mean_hill = np.nanmean(series.mu_hill[late])
         assert 0.6 < mean_improved < 1.0
         assert mean_hill > 2.0
         assert abs(mean_improved - 1.0) < abs(mean_hill - 1.0)
@@ -323,18 +326,15 @@ class TestSvg:
         assert len(polylines) == 3
 
     def test_handles_absent_entries(self):
-        series = HillPlotSeries(l_values=[2, 3, 4, 5],
-                                mu_hill=[None, 3.0, 2.5, 2.4],
-                                mu_improved=[1.0, None, 1.1, 1.05])
+        series = _series([2, 3, 4, 5], [math.nan, 3.0, 2.5, 2.4], [1.0, math.nan, 1.1, 1.05])
         svg = hill_plot_svg(series, expected_mu=1.0)
         ET.parse(io.StringIO(svg))
 
     def test_points_skip_absent_and_clip_off_scale_entries(self):
-        # None entries leave no point, and 1e12, above the 98th percentile,
+        # NaN entries leave no point, and 1e12, above the 98th percentile,
         # is clipped to the top of the frame (y = 45)
-        series = HillPlotSeries(l_values=[2, 3, 4, 5, 6, 7],
-                                mu_hill=[1e9, None, 3.0, -1e9, 2.5, None],
-                                mu_improved=[None, 2.0, 1e12, None, 2.25, 1.5])
+        series = _series([2, 3, 4, 5, 6, 7], [1e9, math.nan, 3.0, -1e9, 2.5, math.nan],
+                         [math.nan, 2.0, 1e12, math.nan, 2.25, 1.5])
         points = [el.get("points") for el in ET.parse(io.StringIO(
             hill_plot_svg(series, expected_mu=2.0))).getroot().iter()
             if el.tag.endswith("polyline")]
@@ -355,12 +355,9 @@ class TestSvg:
         cases = [(run_figure(example, seed=1), FIGURE_EXAMPLES[example].expected_mu)
                  for example in (14, 15, 16, 17)]
         cases += [
-            (HillPlotSeries(l_values=[2, 3, 4, 5],
-                            mu_hill=[None, 3.0, 2.5, 2.4],
-                            mu_improved=[1.0, None, 1.1, 1.05]), 1.0),
-            (HillPlotSeries(l_values=[2, 3, 4, 5, 6, 7],
-                            mu_hill=[1e9, None, 3.0, -1e9, 2.5, None],
-                            mu_improved=[None, 2.0, 1e12, None, 2.25, 1.5]), 2.0),
+            (_series([2, 3, 4, 5], [math.nan, 3.0, 2.5, 2.4], [1.0, math.nan, 1.1, 1.05]), 1.0),
+            (_series([2, 3, 4, 5, 6, 7], [1e9, math.nan, 3.0, -1e9, 2.5, math.nan],
+                     [math.nan, 2.0, 1e12, math.nan, 2.25, 1.5]), 2.0),
         ]
         kernel = [hill_plot_svg(series, mu, title="t") for series, mu in cases]
         monkeypatch.setattr(svgplot, "_format_points", self._per_point)
