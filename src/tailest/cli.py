@@ -97,10 +97,11 @@ def _read_values(path: str, column: str | None) -> np.ndarray:
                     raise _CliError(2, "%s: no column named %r" % (path, column))
                 cells = ((reader.line_num, record[column] or "") for record in reader)
                 try:
-                    values = np.array(_checked(path, cells, comments=False), dtype=float)
+                    values = _checked(path, cells, comments=False)
                 except csv.Error as exc:  # e.g. a cell above csv.field_size_limit()
                     # DictReader.line_num lags on a failed record; its reader's does not
                     raise _CliError(2, "%s:%d: %s" % (path, reader.reader.line_num, exc))
+                values = values[~np.isnan(values)]
     except UnicodeDecodeError:
         raise _CliError(2, "%s: not UTF-8 text" % path)
     except OSError as exc:
@@ -119,12 +120,12 @@ def _read_lines(path: str, fh) -> np.ndarray:
     argument).  Only the lines it leaves unproven -- a sign, blank, space,
     '#', '_', non-ASCII digits, more than 19 digits, an exponent out of
     range, or a value too near a rounding boundary -- are converted by
-    float(), all of a block's at once, and through _checked, which skips
-    blank and '#' lines and reports every error, where that fails.  After a
-    block of mostly such lines, the next blocks skip the kernel and convert
-    every line so, but every 16th block tries the kernel again.  Lines end
-    at \\n, \\r\\n or \\r, as in text mode, and a block that is not UTF-8
-    fails before any of its lines is converted.
+    float(), all of a block's at once, and through _checked, which marks
+    blank and '#' lines to be dropped and reports every error, where that
+    fails.  After a block of mostly such lines, the next blocks skip the
+    kernel and convert every line so, but every 16th block tries the kernel
+    again.  Lines end at \\n, \\r\\n or \\r, as in text mode, and a block
+    that is not UTF-8 fails before any of its lines is converted.
     """
     from . import _decimals  # here, not at module load: only estimate reads lines
 
@@ -154,33 +155,25 @@ def _read_lines(path: str, fh) -> np.ndarray:
 def _convert_unproven(path: str, block, first: int, values: np.ndarray,
                       unproven: np.ndarray) -> np.ndarray:
     """values with each unproven line of the block set to float() of its text,
-    and the lines _checked skips left out; exits on the first bad line.
+    and the blank and '#' lines left out; exits on the first bad line.
 
     If float(text) succeeds it equals float(text.strip()), so where every
     unproven line converts to a positive finite number in one call, the
-    result is what _checked would give.
+    result is what _checked would give.  Otherwise one _checked call
+    converts them, with NaN marking the blank and '#' lines, and the NaNs
+    are dropped.
     """
     texts = block.decode("utf-8").split("\n")[:-1]  # the block ends with a line end
-    every_line = len(unproven) == len(texts)
-    if not every_line:
+    if len(unproven) < len(texts):
         texts = [texts[i] for i in unproven.tolist()]
     try:
         found = np.fromiter(map(float, texts), float, count=len(texts))
     except ValueError:  # a blank, '#' or bad line
         found = None
-    if found is not None and np.all((found > 0.0) & (found < math.inf)):
-        values[unproven] = found
-        return values
-    if every_line:
-        return np.array(_checked(path, enumerate(texts, start=first), comments=True), dtype=float)
-    keep = np.ones(len(values), bool)
-    for i, text in zip(unproven.tolist(), texts):
-        checked = _checked(path, [(first + i, text)], comments=True)
-        if checked:
-            values[i] = checked[0]
-        else:
-            keep[i] = False
-    return values[keep]
+    if found is None or not np.all((found > 0.0) & (found < math.inf)):
+        found = _checked(path, zip((first + unproven).tolist(), texts), comments=True)
+    values[unproven] = found
+    return values[~np.isnan(values)]
 
 
 def _line_blocks(fh):
@@ -203,14 +196,15 @@ def _line_blocks(fh):
         yield pending + b"\n"
 
 
-def _checked(path: str, cells, comments: bool) -> list[float]:
-    """The values of (line number, text) pairs, skipping blank text and,
-    when comments is true, '#' lines; exit on the first text that is not a
-    positive finite number."""
+def _checked(path: str, cells, comments: bool) -> np.ndarray:
+    """The values of (line number, text) pairs as a float array, NaN for
+    blank text and, when comments is true, for '#' lines; exit on the first
+    text that is not a positive finite number."""
     values = []
     for lineno, text in cells:
         text = text.strip()
         if not text or (comments and text.startswith("#")):
+            values.append(math.nan)
             continue
         try:
             value = float(text)
@@ -221,7 +215,7 @@ def _checked(path: str, cells, comments: bool) -> list[float]:
                 raise _CliError(3, "%s:%d: non-positive value %r" % (path, lineno, text))
             raise _CliError(2, "%s:%d: not a finite number: %r" % (path, lineno, text))
         values.append(value)
-    return values
+    return np.array(values, dtype=float)
 
 
 def _parse_ranges(text: str, what: str) -> list[range]:

@@ -11,9 +11,11 @@ Draws map uniforms through the tabulated inverse CDF with linear
 interpolation inside the bracketing grid cell, exactly as
 ``np.interp(u, cdf, xs)`` does.
 
-Randomness comes from ``numpy.random.default_rng`` (PCG64).  The generator
-identity is part of the package contract: the same (distribution, n, seed)
-triple yields bit-identical samples on every platform and release.
+Randomness comes from numpy's PCG64, seeded only in ``SeedStreams``,
+which restores the state ``PCG64(seed)`` starts in; so seed s draws the
+uniforms of numpy's default generator for s.  The generator identity is
+part of the package contract: the same (distribution, n, seed) triple
+yields bit-identical samples on every platform and release.
 
 Each uniform's grid cell is found by indexed search (a "guide table",
 Chen & Asau 1974; Devroye 1986, section III.2.4): the grid keeps, for each
@@ -162,32 +164,23 @@ class GridDistribution:
     guide: np.ndarray
 
 
-def _check_draws(n: int) -> None:
-    if n < 2:
-        raise ValueError("need n >= 2 draws, got %d" % n)
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError("need seed >= 0, got %d" % seed)
-
-
 class SeedStreams:
     """The PCG64 streams of some seeds, each seeded once, replayed on demand.
 
-    ``default_rng(seed)`` hashes its seed into a PCG64 state, which costs
-    about ten times as much as restoring a saved state (15 us against 1.5 us
-    on a 2-core Xeon).  A caller that draws the same seeds on many grids
-    builds this once: it keeps each seed's starting state and increment (two
+    ``PCG64(seed)`` hashes its seed into a state, which costs about ten
+    times as much as restoring a saved state (15 us against 1.5 us on a
+    2-core Xeon).  A caller that draws the same seeds on many grids builds
+    this once: it keeps each seed's starting state and increment (two
     128-bit integers), and :meth:`fill` restores them into one generator,
-    which then yields the stream ``default_rng(seed)`` yields.  A slice
+    which then yields the stream ``Generator(PCG64(seed))`` yields.  A slice
     ``streams[a:b]`` shares that generator.
     """
 
     def __init__(self, seeds: Iterable[int]):
         self.seeds = tuple(seeds)
         for seed in self.seeds:
-            _check_seed(seed)
+            if seed < 0:
+                raise ValueError("need seed >= 0, got %d" % seed)
         self._starts = [(state["state"], state["inc"]) for state in (
             np.random.PCG64(seed).state["state"] for seed in self.seeds)]
         self._generator = np.random.Generator(np.random.PCG64(0))  # state set before each use
@@ -252,32 +245,26 @@ def _grid(xs: np.ndarray, pdf: np.ndarray, name: str) -> GridDistribution:
 def draw(dist: GridDistribution, n: int, seed: int) -> OrderedSample:
     """n seeded inverse-CDF draws, returned as a descending OrderedSample.
 
-    Raises ValueError for n below 2 or a negative seed.  Each of the n
-    uniforms of ``default_rng(seed)`` is mapped through the tabulated
-    CDF by linear interpolation between the bracketing grid nodes, bit for
-    bit as ``np.interp(u, dist.cdf, dist.xs)``, so every draw lies in
-    [xs[0], xs[-1]].  Identical (dist, n, seed) give identical samples.  The
-    uniforms are mapped in sorted order, which leaves the sample unchanged
-    (see the module docstring).
+    Row 0 of ``draw_block(dist, n, [seed])``: the n uniforms of seed's
+    PCG64 stream, as :class:`SeedStreams` restores it, mapped bit for bit
+    as ``np.interp(u, dist.cdf, dist.xs)``, so every draw lies in
+    [xs[0], xs[-1]].  Raises ValueError for n below 2 or a negative seed.
     """
-    _check_draws(n)
-    _check_seed(seed)
-    u = np.random.default_rng(seed).random(n)
-    return OrderedSample(_inverse_cdf(dist, u))
+    return OrderedSample(draw_block(dist, n, [seed])[0])
 
 
 def draw_block(dist: GridDistribution, n: int,
                seeds: Sequence[int] | SeedStreams) -> np.ndarray:
     """The samples of several seeds at once, one row per seed.
 
-    Row i holds ``draw(dist, n, seeds[i]).values`` bit for bit, in
-    descending order and C-contiguous, as OrderedSample holds it: each seed
-    draws its n uniforms from its own PCG64 stream, and the block is mapped
-    in one call.  ``seeds`` may be a :class:`SeedStreams`, so
-    that a caller drawing the same seeds on many grids seeds each of them
-    once.
+    Row i holds ``draw(dist, n, seeds[i]).values``, in descending order and
+    C-contiguous, as OrderedSample holds it: each seed draws its n uniforms
+    from its own PCG64 stream, and the block is mapped in one call (see the
+    module docstring).  ``seeds`` may be a :class:`SeedStreams`, so that a
+    caller drawing the same seeds on many grids seeds each of them once.
     """
-    _check_draws(n)
+    if n < 2:
+        raise ValueError("need n >= 2 draws, got %d" % n)
     streams = seeds if isinstance(seeds, SeedStreams) else SeedStreams(seeds)
     u = np.empty((len(streams), n))
     streams.fill(u)

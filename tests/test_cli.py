@@ -177,6 +177,11 @@ def _values_past_first_block(n: int) -> str:
     return "".join("%.17g\n" % (1.0 + i * 1e-3) for i in range(n))
 
 
+# Right-aligned lines, none of which the decimal kernel proves, so past the
+# first block the reader skips it for 15 of every 16 blocks: 34 blocks, and
+# line 250,001 is in block 28.
+_PADDED = ["%14.6f" % (1.0 + i * 1e-3) for i in range(300_000)]
+
 # What estimate printed on 1.5, 2.5, 3.5 before the block reader.
 OUT_3 = ("n 3  window l=3 r=1 (k=3)\nbounds L=1.5 R=3.5\nmean_log 0.8582\n"
          "hill mu=3.209 alpha=2.209\nimproved mu=0.5129 alpha=-0.4871\n"
@@ -185,7 +190,8 @@ OUT_3 = ("n 3  window l=3 r=1 (k=3)\nbounds L=1.5 R=3.5\nmean_log 0.8582\n"
 # (input text, --column or None, exit code, stdout, stderr with {path}),
 # pinned from the line-by-line reader that the block reader replaced; the
 # CRLF, lone-CR and line-separator cases from the block reader before the
-# decimal kernel.
+# decimal kernel.  The padded cases are pinned from the reader before
+# _convert_unproven made one _checked call per block.
 PARITY = {
     "header_and_inner_blank": ("# observations\n1.5\n\n2.5\n  \n3.5\n", None, 0, OUT_3, ""),
     "trailing_blank_lines": ("1.5\n2.5\n3.5\n\n\n", None, 0, OUT_3, ""),
@@ -225,6 +231,17 @@ PARITY = {
     "zero_past_first_block": (
         _values_past_first_block(300_000) + "0\n2.5\n", None, 3, "",
         "error: {path}:300001: non-positive value '0'\n"),
+    "padded_past_16_blocks": (
+        "\n".join(_PADDED) + "\n", None, 0,
+        "n 300000  window l=300000 r=1 (k=300000)\nbounds L=1 R=301\nmean_log 4.726\n"
+        "hill mu=1.212 alpha=0.2116\nimproved mu=7.005e-06 alpha=-1\n"
+        "improved-iterative mu=7.005e-06 alpha=-1 iterations=6 converged=yes\n", ""),
+    "padded_comment_blank_bad_line_past_16_blocks": (
+        "\n".join(_PADDED[:250_000] + ["# note", "", "banana"] + _PADDED[250_000:]) + "\n",
+        None, 2, "", "error: {path}:250003: not a number: 'banana'\n"),
+    "padded_zero_past_16_blocks": (
+        "\n".join(_PADDED[:250_000] + ["0"] + _PADDED[250_000:]) + "\n", None, 3, "",
+        "error: {path}:250001: non-positive value '0'\n"),
     "column": ("name,value\na,1.5\nb,\nc,2.5\nd,3.5\n", "value", 0, OUT_3, ""),
     "column_quoted_crlf": ('name,value\r\n"a, x","1.5"\r\n"b\nc",2.5\r\nd,3.5\r\n',
                            "value", 0, OUT_3, ""),

@@ -321,12 +321,15 @@ class TestSeedStreams:
 class TestDrawBlock:
     @pytest.mark.parametrize("spec, n", BUILT_IN_SAMPLES)
     def test_rows_equal_draws(self, spec, n):
+        # each row against the reference of test_pcg64_contract, not draw(),
+        # which is row 0 of a one-seed block
         dist = tabulate(spec)
         seeds = [3, 1, 4, 1, 5]
         block = draw_block(dist, n, seeds)
         assert block.shape == (len(seeds), n)
         for row, seed in zip(block, seeds):
-            assert np.array_equal(row, draw(dist, n, seed).values)
+            u = np.random.default_rng(seed).random(n)
+            assert np.array_equal(row, np.sort(np.interp(u, dist.cdf, dist.xs))[::-1])
         assert np.array_equal(draw_block(dist, n, SeedStreams([0] + seeds)[1:]), block)
 
     def test_tail_sorts_a_row_out_of_order(self):
