@@ -1,81 +1,14 @@
-"""Tail exponent estimation for power-law-like samples on bounded domains."""
+"""Tail exponent estimation for power-law-like samples on bounded domains.
 
-from .estimator import (
-    DegenerateBoundsError,
-    DegenerateSampleError,
-    EstimateResult,
-    EstimationError,
-    HillPlotSeries,
-    OrderedSample,
-    SingularityError,
-    SolverFailureError,
-    TailWindow,
-    WindowError,
-    correction,
-    correction_derivative,
-    full_window,
-    gfun,
-    hill_estimate,
-    hill_plot_series,
-    improved_estimate,
-    mean_log,
-    solve_direct,
-    solve_iterative,
-)
-from .experiments import (
-    FIGURE_EXAMPLES,
-    TABLE_ROWS,
-    figure_csv,
-    run_figure,
-    run_full_table,
-    summarize_table,
-    summary_csv,
-    table_csv,
-)
-from .sampler import (
-    DistributionSpec,
-    DistributionSpecError,
-    GridDistribution,
-    draw,
-    sigma_statistic,
-    tabulate,
-)
+The package exports the ``__all__`` of each of its modules estimator,
+experiments and sampler.
+"""
+
+from . import estimator, experiments, sampler
+from .estimator import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .sampler import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DegenerateBoundsError",
-    "DegenerateSampleError",
-    "DistributionSpec",
-    "DistributionSpecError",
-    "EstimateResult",
-    "EstimationError",
-    "FIGURE_EXAMPLES",
-    "GridDistribution",
-    "HillPlotSeries",
-    "OrderedSample",
-    "SingularityError",
-    "SolverFailureError",
-    "TABLE_ROWS",
-    "TailWindow",
-    "WindowError",
-    "correction",
-    "correction_derivative",
-    "draw",
-    "figure_csv",
-    "full_window",
-    "gfun",
-    "hill_estimate",
-    "hill_plot_series",
-    "improved_estimate",
-    "mean_log",
-    "run_figure",
-    "run_full_table",
-    "sigma_statistic",
-    "solve_direct",
-    "solve_iterative",
-    "summarize_table",
-    "summary_csv",
-    "table_csv",
-    "tabulate",
-]
+__all__ = estimator.__all__ + experiments.__all__ + sampler.__all__

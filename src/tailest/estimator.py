@@ -37,6 +37,7 @@ __all__ = [
     "SolverFailureError",
     "OrderedSample",
     "TailWindow",
+    "full_window",
     "EstimateResult",
     "HillPlotSeries",
     "mean_log",

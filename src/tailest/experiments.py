@@ -37,7 +37,6 @@ __all__ = [
     "run_full_table",
     "summarize_table",
     "table_csv",
-    "summary_csv",
     "figure_csv",
 ]
 
@@ -266,13 +265,9 @@ def _csv(columns: dict[str, Sequence]) -> str:
 
 
 def table_csv(table: dict[str, list]) -> str:
-    """``table.csv`` for the columns :func:`run_full_table` returns."""
+    """``table.csv`` for the columns :func:`run_full_table` returns, or
+    ``table_summary.csv`` for those :func:`summarize_table` returns."""
     return _csv(table)
-
-
-def summary_csv(summary: dict[str, list]) -> str:
-    """``table_summary.csv`` for the columns :func:`summarize_table` returns."""
-    return _csv(summary)
 
 
 def figure_csv(series: HillPlotSeries) -> str:

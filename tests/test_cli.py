@@ -406,6 +406,26 @@ class TestReader:
         assert code == 0 and out.startswith("n 3 ")
 
 
+# sha256 of simulate's stdout, 1000 draws with seed 7, for each density's
+# flags, pinned from the writer that joined str() of each value.
+SIMULATE_DIGESTS = {
+    "power": ("--dist power --mu 5 --dlow 3 --dhigh 4",
+              "1301ee2fc97320221b230959d2ee8077ef990a112be07ca116038a3f49c0ff4b"),
+    "pade": ("--dist pade --p2 494.7 --p4 4886 --dlow 1 --dhigh 5",
+             "6e6d3c5c1d1c72e79acad7d4298bd845369ce598d857e6c2aabbd0a0cbd35f80"),
+    "logx": ("--dist logx --dlow 100 --dhigh 400",
+             "8c7d468886bf3946332e4a22255af32383aa483c97a52893da559fd1a510d750"),
+    "invlogx": ("--dist invlogx --dlow 3000 --dhigh 6000",
+                "17cac595bede58489b2bad0a758870b551589292e5d274fe67d209b0837cf489"),
+    "sqrtinv": ("--dist sqrtinv --dlow 3 --dhigh 15000",
+                "ea6f97017876efaa37f6ed479720743a8ede489764316efede6800353fd38868"),
+    "growth": ("--dist growth --exponent 3.5 --dlow 3 --dhigh 10000",
+               "1f1e46674314b3d0e1e7bbdccf0259a9a2931a39e33ef3b586bf06213edda54a"),
+    "twopower": ("--dist twopower --a1 3 --mu1 4 --a2 1 --mu2 2.5 --dlow 10 --dhigh 30",
+                 "a3fc2f24f09c1e8ac8371350a517ee4564f8b5ebf9205e1b224bb3fbdfcb6326"),
+}
+
+
 class TestSimulate:
     def test_range_and_count(self, tmp_path):
         out = tmp_path / "s.txt"
@@ -435,7 +455,21 @@ class TestSimulate:
     def test_missing_parameter_exits_2(self, tmp_path, capsys):
         assert _run(["simulate", "--dist", "pade", "--dlow", "1", "--dhigh", "5",
                      "--n", "100", "--seed", "1"]) == 2
-        assert "--p2" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: pade14 takes parameters ('p2', 'p4'), got ()\n"
+        assert _run(["simulate", "--dist", "power", "--dlow", "3", "--dhigh", "4",
+                     "--n", "100", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == "error: power takes parameters ('mu',), got ()\n"
+
+    def test_parameter_the_density_does_not_take_exits_2(self, tmp_path, capsys):
+        # the flag would be ignored: log_over_x has no parameter
+        out = tmp_path / "s.txt"
+        argv = ["simulate", "--dist", "logx", "--mu", "5", "--dlow", "100", "--dhigh", "400",
+                "--n", "100", "--seed", "7"]
+        for extra in ([], ["--out", str(out)]):
+            assert _run(argv + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err == "error: log_over_x takes parameters (), got ('mu',)\n"
 
     def test_invalid_domain_exits_2(self, capsys):
         assert _run(["simulate", "--dist", "power", "--mu", "5", "--dlow", "5",
@@ -514,6 +548,23 @@ class TestSimulate:
         sample = draw(tabulate(spec), 300, 11)
         written = [float(line) for line in out.read_text().split()]
         assert written == sample.values.tolist()
+
+    @pytest.mark.parametrize("flags, digest", SIMULATE_DIGESTS.values(), ids=list(SIMULATE_DIGESTS))
+    def test_stdout_matches_golden_digest(self, flags, digest, capsys):
+        assert _run(["simulate", *flags.split(), "--n", "1000", "--seed", "7"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_out_file_equals_stdout_across_pieces(self, tmp_path, capsys):
+        # 150,000 lines: two piece boundaries and a short last piece
+        argv = ["simulate", "--dist", "power", "--mu", "5", "--dlow", "3", "--dhigh", "4",
+                "--n", "150000", "--seed", "7"]
+        assert _run(argv) == 0
+        stdout = capsys.readouterr().out.encode()
+        out = tmp_path / "s.txt"
+        assert _run(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == stdout
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "1631a6ca4095bcf550625066db1ee1067c34f213cb34c72e25b04e4f03bad685")
 
     def test_twopower_flags(self, tmp_path):
         out = tmp_path / "tp.txt"

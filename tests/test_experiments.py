@@ -28,7 +28,6 @@ from tailest.experiments import (
     run_figure,
     run_full_table,
     summarize_table,
-    summary_csv,
     table_csv,
 )
 from tailest.sampler import DistributionSpec, draw, sigma_statistic, tabulate
@@ -217,7 +216,7 @@ class TestCsv:
                 float(field)  # every column numeric
 
     def test_summary_csv_parses(self):
-        text = summary_csv(summarize_table(run_full_table([1, 2])))
+        text = table_csv(summarize_table(run_full_table([1, 2])))
         lines = text.strip().split("\n")
         assert len(lines) == 14
         for line in lines[1:]:
@@ -245,7 +244,7 @@ class TestCsv:
         if name == "table":
             return table_csv(table), table
         summary = summarize_table(table)
-        return summary_csv(summary), summary
+        return table_csv(summary), summary
 
     @pytest.mark.parametrize("name", ["table", "summary", "figure"])
     def test_report_parses_back_to_runner_values(self, name):
