@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import collections
 import csv
+import itertools
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -66,11 +69,22 @@ def _fmt(x: float) -> str:
 
 
 # Bytes of input per block of lines that the plain reader converts in one
-# call; about 6,900 lines of 17-digit values, so that each per-line array
-# of the block stays below glibc's 128 KiB mmap threshold.  At 1 MiB every
-# such array was mapped afresh, and the page faults doubled the reader's
-# time in some runs.
-_BLOCK_BYTES = 1 << 17
+# call, about 28,000 lines of 17-digit values.  Reading 10^6 such lines
+# with a worker thread took 0.33, 0.21, 0.16 and 0.16 s in blocks of 2^17,
+# 2^18, 2^19 and 2^20 bytes, against 0.22-0.23 s without one (the second
+# read in a process, median of 5 processes, 2-core Xeon): each hand-over to
+# the worker costs about 0.3-0.5 ms.  The reads faulted in 80, 80, 4,400
+# and 10,500 pages; 2^20 saves no time and doubles the kernel's temporaries.
+_BLOCK_BYTES = 1 << 19
+
+# Blocks that the plain reader converts at once, one in the reading thread
+# and the others on worker threads; numpy releases the GIL inside each pass
+# of the decimal kernel.
+_THREADS = 2
+
+# The smallest block worth handing to a worker thread (see _BLOCK_BYTES); a
+# smaller one is converted in the reading thread.
+_THREAD_MIN_BYTES = 1 << 18
 
 
 def _read_values(path: str, column: str | None) -> np.ndarray:
@@ -126,30 +140,128 @@ def _read_lines(path: str, fh) -> np.ndarray:
     kernel and convert every line so, but every 16th block tries the kernel
     again.  Lines end at \\n, \\r\\n or \\r, as in text mode, and a block
     that is not UTF-8 fails before any of its lines is converted.
+
+    This thread reads the blocks _THREADS at a time.  It hands the kernel
+    of each block of such a batch but the first to a worker thread, and runs
+    the first block's itself; a block under _THREAD_MIN_BYTES is converted
+    here too.  It then finishes the batch strictly in input order -- the
+    UTF-8 check, the unproven lines, the kernel-skip decision and the line
+    numbers -- so an error in one block is reported before anything in a
+    later block.  The skip decision for a block is made from the last block
+    finished before its batch was read, up to _THREADS blocks back rather
+    than one; that moves only which lines go to float(), never a value.
     """
     from . import _decimals  # here, not at module load: only estimate reads lines
 
     blocks = []
-    first = 1  # line number of the block's first line
+    first = 1  # line number of the next block's first line
     kernel = True
-    for index, block in enumerate(_line_blocks(fh)):
-        if not block.isascii():
-            block.decode("utf-8")  # UnicodeDecodeError if it is not UTF-8
-        if b"\r" in block:
-            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        if kernel or index % 16 == 0:
-            ends, values, proven = _decimals.parse_lines(block)
-            unproven = np.flatnonzero(~proven)
-            kernel = 2 * unproven.size <= len(ends)
-        else:
-            values = np.empty(block.count(b"\n"))
-            unproven = np.arange(len(values))
-        lines = len(values)
-        if unproven.size:
-            values = _convert_unproven(path, block, first, values, unproven)
-        blocks.append(values)
-        first += lines
+    index = 0  # of the next block read
+    source = _line_blocks(fh)
+    workers = _Workers(_THREADS - 1)
+    try:
+        while True:
+            batch = []
+            for block in itertools.islice(source, _THREADS):
+                if b"\r" in block:
+                    block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                call = None
+                if kernel or index % 16 == 0:
+                    call = _Call(_decimals.parse_lines, block)
+                batch.append((block, call))
+                index += 1
+            if not batch:
+                break
+            for block, call in batch[1:]:
+                if call is not None and len(block) >= _THREAD_MIN_BYTES:
+                    workers.submit(call)
+            for block, call in batch:
+                if call is not None:
+                    ends, values, proven = call.result()
+                    unproven = np.flatnonzero(~proven)
+                    kernel = 2 * unproven.size <= len(ends)
+                else:
+                    values = np.empty(block.count(b"\n"))
+                    unproven = np.arange(len(values))
+                if not block.isascii():
+                    block.decode("utf-8")  # UnicodeDecodeError if it is not UTF-8
+                lines = len(values)
+                if unproven.size:
+                    values = _convert_unproven(path, block, first, values, unproven)
+                blocks.append(values)
+                first += lines
+    finally:
+        workers.close()
     return np.concatenate(blocks) if blocks else np.empty(0)
+
+
+class _Call:
+    """function(*args), run once: by a worker thread it was handed to, or
+    else by result() in the thread that asks for it."""
+
+    def __init__(self, function, *args):
+        self._call = (function, args)
+        self._outcome = None
+        self._handed_over = threading.Lock()  # held until a worker has run it
+
+    def hand_over(self) -> None:
+        self._handed_over.acquire()
+
+    def run(self) -> None:
+        function, args = self._call
+        try:
+            self._outcome = (function(*args), None)
+        except BaseException as exc:  # raised again by result()
+            self._outcome = (None, exc)
+        if self._handed_over.locked():
+            self._handed_over.release()
+
+    def result(self):
+        """The value of the call, or its exception."""
+        with self._handed_over:
+            pass
+        if self._outcome is None:
+            self.run()
+        value, exc = self._outcome
+        if exc is not None:
+            raise exc
+        return value
+
+
+class _Workers:
+    """Up to count threads, each started when a call is handed over, that
+    run the calls handed to them in order."""
+
+    def __init__(self, count: int):
+        self._count = count
+        self._threads = []
+        self._calls = collections.deque()
+        # released once per call handed over, and by close() once per thread
+        self._ready = threading.Semaphore(0)
+
+    def submit(self, call: _Call) -> None:
+        call.hand_over()
+        self._calls.append(call)
+        self._ready.release()
+        if len(self._threads) < self._count:
+            thread = threading.Thread(target=self._serve, daemon=True)
+            thread.start()
+            self._threads.append(thread)
+
+    def _serve(self) -> None:
+        while True:
+            self._ready.acquire()
+            if not self._calls:
+                return
+            self._calls.popleft().run()
+
+    def close(self) -> None:
+        """Wait until every call handed over has run and every thread has
+        ended, so that after an error no call is left running."""
+        for _ in self._threads:
+            self._ready.release()
+        for thread in self._threads:
+            thread.join()
 
 
 def _convert_unproven(path: str, block, first: int, values: np.ndarray,

@@ -80,9 +80,9 @@ class SolverFailureError(EstimationError):
 class OrderedSample:
     """Strictly positive observations stored as reversed order statistics.
 
-    The constructor accepts values in any order and sorts them descending,
-    so estimates depend only on the multiset of observations.  Logarithms
-    are cached because every estimator consumes them.
+    The constructor accepts values in any order and puts them in descending
+    order, so estimates depend only on the multiset of observations.
+    Logarithms are cached because every estimator consumes them.
     """
 
     __slots__ = ("values", "log_values")
@@ -97,7 +97,14 @@ class OrderedSample:
             raise DegenerateSampleError("sample contains non-finite values")
         if np.any(arr <= 0.0):
             raise DegenerateSampleError("sample contains non-positive values")
-        arr = np.sort(arr)[::-1].copy()
+        # input already in order, as a sorted file or draw()'s rows, skips the
+        # sort; with NaN and non-positive values refused, the copy equals
+        # np.sort(arr)[::-1] element for element
+        ascending = arr[0] <= arr[-1]
+        if np.all(arr[1:] >= arr[:-1]) if ascending else np.all(arr[1:] <= arr[:-1]):
+            arr = (arr[::-1] if ascending else arr).copy()
+        else:
+            arr = np.sort(arr)[::-1].copy()
         arr.setflags(write=False)
         logs = np.log(arr)
         logs.setflags(write=False)

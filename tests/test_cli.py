@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from unittest import mock
@@ -178,9 +180,10 @@ def _values_past_first_block(n: int) -> str:
 
 
 # Right-aligned lines, none of which the decimal kernel proves, so past the
-# first block the reader skips it for 15 of every 16 blocks: 34 blocks, and
-# line 250,001 is in block 28.
+# first blocks the reader skips it for 15 of every 16 blocks: 34 blocks of
+# _PADDED_BLOCK_BYTES, and line 250,001 is in block 28.
 _PADDED = ["%14.6f" % (1.0 + i * 1e-3) for i in range(300_000)]
+_PADDED_BLOCK_BYTES = 1 << 17
 
 # What estimate printed on 1.5, 2.5, 3.5 before the block reader.
 OUT_3 = ("n 3  window l=3 r=1 (k=3)\nbounds L=1.5 R=3.5\nmean_log 0.8582\n"
@@ -313,7 +316,72 @@ class TestReader:
         path = tmp_path / "input.txt"
         path.write_bytes(text.encode("utf-8"))
         flags = ["--column", column] if column else []
-        assert _estimate(path, capsys, *flags) == (code, out, err.format(path=path))
+        # the padded cases reach the kernel retry of block 16 and 32 only in
+        # blocks of the size they were written for
+        block = _PADDED_BLOCK_BYTES if case.startswith("padded") else cli._BLOCK_BYTES
+        with mock.patch.object(cli, "_BLOCK_BYTES", block):
+            assert _estimate(path, capsys, *flags) == (code, out, err.format(path=path))
+
+    @pytest.mark.parametrize("bad, index, text", [
+        (130, 140, b"\xff2.5"), (150, 165, b"\xff2.5"), (130, 170, b"0"), (150, 185, b"0")],
+        ids=["not_utf8_in_next_block", "not_utf8_in_next_block_odd",
+             "zero_two_blocks_later", "zero_two_blocks_later_odd"])
+    def test_first_error_in_input_order(self, bad, index, text, tmp_path, capsys):
+        # 16 blocks of 256 bytes, each converted on a worker thread or this
+        # one: 'banana' is in block 6 (line 131) or 7 (line 151), the later
+        # line one or two blocks after it; pinned from the reader before
+        # blocks went to threads
+        lines = [b"%.17g" % (1.0 + i * 1e-3) for i in range(300)]
+        lines[bad] = b"banana"
+        lines[index] = text
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with mock.patch.object(cli, "_BLOCK_BYTES", 256), \
+                mock.patch.object(cli, "_THREAD_MIN_BYTES", 0):
+            assert _estimate(path, capsys) == (
+                2, "", "error: %s:%d: not a number: 'banana'\n" % (path, bad + 1))
+
+    def test_more_workers_than_cores_give_the_values_of_one_thread(self, tmp_path):
+        lines = ["%.17g" % (1.0 + i * 1e-3) for i in range(1200)]
+        lines[100:1200:50] = ["+2.5"] * 22  # lines the kernel leaves to float()
+        path = tmp_path / "values.txt"
+        path.write_text("\n".join(lines) + "\n")
+        expected = np.array([float(t) for t in lines])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with mock.patch.object(cli, "_BLOCK_BYTES", 128), \
+                    mock.patch.object(cli, "_THREADS", 4), \
+                    mock.patch.object(cli, "_THREAD_MIN_BYTES", 0):
+                values = cli._read_values(str(path), None)
+        finally:
+            sys.setswitchinterval(interval)
+        assert values.tobytes() == expected.tobytes()
+
+    def test_kernel_error_raised_with_no_thread_left(self, tmp_path):
+        path = tmp_path / "values.txt"
+        path.write_text(_values_past_first_block(300))  # 22 blocks of 256 bytes
+        parse_lines = _decimals.parse_lines
+        numbers = itertools.count(1)
+        threads = set()
+
+        def fail_third(block):  # and keep the blocks after it busy
+            threads.add(threading.current_thread())
+            number = next(numbers)
+            if number == 3:
+                raise MemoryError
+            if number > 3:
+                time.sleep(0.05)
+            return parse_lines(block)
+
+        running = threading.active_count()
+        with mock.patch.object(cli, "_BLOCK_BYTES", 256), \
+                mock.patch.object(cli, "_THREAD_MIN_BYTES", 0), \
+                mock.patch.object(_decimals, "parse_lines", fail_third):
+            with pytest.raises(MemoryError):
+                cli._read_values(str(path), None)
+        assert threads - {threading.main_thread()} and next(numbers) - 1 < 22
+        assert threading.active_count() == running
 
     def test_array_bit_equal_to_float_per_line(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -57,6 +57,30 @@ class TestOrderedSample:
         s = OrderedSample([1.0, 5.0, 3.0])
         assert list(s.values) == [5.0, 3.0, 1.0]
 
+    @pytest.mark.parametrize("order", [
+        "ascending", "descending", "shuffled", "tied_ascending", "tied_descending",
+        "all_equal", "ends_equal", "two_ascending", "two_descending", "last_pair_swapped"])
+    def test_ordered_input_skips_the_sort_with_equal_bytes(self, order):
+        rng = np.random.default_rng(3)
+        x = np.sort(rng.pareto(1.5, 1000) + 1.0)
+        tied = np.repeat(x[:50], 20)
+        swapped = x.copy()
+        swapped[-2:] = x[:-3:-1]
+        values = {
+            "ascending": x, "descending": x[::-1], "shuffled": rng.permutation(x),
+            "tied_ascending": tied, "tied_descending": tied[::-1],
+            "all_equal": np.full(7, 2.5), "ends_equal": np.array([2.0, 1.0, 3.0, 2.0]),
+            "two_ascending": x[[3, 7]], "two_descending": x[[7, 3]],
+            "last_pair_swapped": swapped,
+        }[order]
+        given = values.copy()
+        s = OrderedSample(values)
+        expected = np.sort(given)[::-1].copy()  # contiguous: np.log's loop differs on a view
+        assert s.values.tobytes() == expected.tobytes()
+        assert s.log_values.tobytes() == np.log(expected).tobytes()
+        assert not np.shares_memory(s.values, values) and not s.values.flags.writeable
+        assert values.tobytes() == given.tobytes()
+
     def test_ties_allowed(self):
         s = OrderedSample([2.0, 2.0, 1.0])
         assert list(s.values) == [2.0, 2.0, 1.0]
