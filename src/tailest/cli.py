@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import collections
 import csv
+import functools
 import itertools
 import math
 import os
 import sys
-import threading
 
 import numpy as np
 
@@ -69,22 +68,18 @@ def _fmt(x: float) -> str:
 
 
 # Bytes of input per block of lines that the plain reader converts in one
-# call, about 28,000 lines of 17-digit values.  Reading 10^6 such lines
-# with a worker thread took 0.33, 0.21, 0.16 and 0.16 s in blocks of 2^17,
-# 2^18, 2^19 and 2^20 bytes, against 0.22-0.23 s without one (the second
-# read in a process, median of 5 processes, 2-core Xeon): each hand-over to
-# the worker costs about 0.3-0.5 ms.  The reads faulted in 80, 80, 4,400
-# and 10,500 pages; 2^20 saves no time and doubles the kernel's temporaries.
+# call, about 28,000 lines of 17-digit values.  Reading 10^6 such lines on
+# two threads took 0.24, 0.17, 0.14 and 0.22 s in blocks of 2^17, 2^18,
+# 2^19 and 2^20 bytes, against 0.21 s on one thread at 2^19 (the second to
+# sixth reads in a process, median of 3 processes, 2-core Xeon).  Each
+# hand-over to the worker costs about 0.3-0.5 ms, which small blocks pay
+# often; at 2^20 the reads faulted in 37,000 pages against 4,700 at 2^19.
 _BLOCK_BYTES = 1 << 19
 
 # Blocks that the plain reader converts at once, one in the reading thread
 # and the others on worker threads; numpy releases the GIL inside each pass
 # of the decimal kernel.
 _THREADS = 2
-
-# The smallest block worth handing to a worker thread (see _BLOCK_BYTES); a
-# smaller one is converted in the reading thread.
-_THREAD_MIN_BYTES = 1 << 18
 
 
 def _read_values(path: str, column: str | None) -> np.ndarray:
@@ -139,17 +134,20 @@ def _read_lines(path: str, fh) -> np.ndarray:
     fails.  After a block of mostly such lines, the next blocks skip the
     kernel and convert every line so, but every 16th block tries the kernel
     again.  Lines end at \\n, \\r\\n or \\r, as in text mode, and a block
-    that is not UTF-8 fails before any of its lines is converted.
+    that is not UTF-8 fails before any of its lines is reported.
 
     This thread reads the blocks _THREADS at a time.  It hands the kernel
     of each block of such a batch but the first to a worker thread, and runs
-    the first block's itself; a block under _THREAD_MIN_BYTES is converted
-    here too.  It then finishes the batch strictly in input order -- the
-    UTF-8 check, the unproven lines, the kernel-skip decision and the line
-    numbers -- so an error in one block is reported before anything in a
-    later block.  The skip decision for a block is made from the last block
-    finished before its batch was read, up to _THREADS blocks back rather
-    than one; that moves only which lines go to float(), never a value.
+    the first block's itself.  It then finishes the batch strictly in input
+    order -- the UTF-8 check, the unproven lines, the kernel-skip decision
+    and the line numbers -- so a bad line in one block is reported before
+    anything in a later block.  Reading is the exception: a batch is read
+    whole before any of it is finished, so an error reading a block comes
+    before a bad line in an earlier block of its batch, and on a pipe a bad
+    line is reported only once the rest of its batch has arrived.  The skip
+    decision for a block is made from the last block finished before its
+    batch was read, up to _THREADS blocks back rather than one; that moves
+    only which lines go to float(), never a value.
     """
     from . import _decimals  # here, not at module load: only estimate reads lines
 
@@ -158,26 +156,38 @@ def _read_lines(path: str, fh) -> np.ndarray:
     kernel = True
     index = 0  # of the next block read
     source = _line_blocks(fh)
-    workers = _Workers(_THREADS - 1)
+    workers = None  # started at the first hand-over: one block starts no thread
     try:
         while True:
-            batch = []
+            batch = []  # (block, its kernel call, or None where it is skipped)
             for block in itertools.islice(source, _THREADS):
                 if b"\r" in block:
                     block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-                call = None
+                convert = None
                 if kernel or index % 16 == 0:
-                    call = _Call(_decimals.parse_lines, block)
-                batch.append((block, call))
+                    convert = functools.partial(_decimals.parse_lines, block)
+                    if batch:
+                        if workers is None:
+                            # here, not at module load: 6-11 ms that one block never needs
+                            from concurrent.futures import ThreadPoolExecutor
+                            workers = ThreadPoolExecutor(_THREADS - 1)
+                        convert = workers.submit(convert).result
+                batch.append((block, convert))
                 index += 1
             if not batch:
                 break
-            for block, call in batch[1:]:
-                if call is not None and len(block) >= _THREAD_MIN_BYTES:
-                    workers.submit(call)
-            for block, call in batch:
-                if call is not None:
-                    ends, values, proven = call.result()
+            for position, (block, convert) in enumerate(batch):
+                if convert is not None:
+                    ends, values, proven = convert()
+                    if position:
+                        # converted on the worker: a copy made here leaves
+                        # nothing in the worker's malloc arena, which is then
+                        # freed whole.  Without it a fresh estimate of 10^6
+                        # lines peaked at 69-71 MB rather than 59 (57 at one
+                        # thread; medians of 12-24 processes), at the price
+                        # of faulting the arena in again for every block:
+                        # 44,000 page faults against 18,000, about 0.05 s.
+                        values = values.copy()
                     unproven = np.flatnonzero(~proven)
                     kernel = 2 * unproven.size <= len(ends)
                 else:
@@ -191,77 +201,9 @@ def _read_lines(path: str, fh) -> np.ndarray:
                 blocks.append(values)
                 first += lines
     finally:
-        workers.close()
+        if workers is not None:
+            workers.shutdown()  # waits for a call still running, as after an error
     return np.concatenate(blocks) if blocks else np.empty(0)
-
-
-class _Call:
-    """function(*args), run once: by a worker thread it was handed to, or
-    else by result() in the thread that asks for it."""
-
-    def __init__(self, function, *args):
-        self._call = (function, args)
-        self._outcome = None
-        self._handed_over = threading.Lock()  # held until a worker has run it
-
-    def hand_over(self) -> None:
-        self._handed_over.acquire()
-
-    def run(self) -> None:
-        function, args = self._call
-        try:
-            self._outcome = (function(*args), None)
-        except BaseException as exc:  # raised again by result()
-            self._outcome = (None, exc)
-        if self._handed_over.locked():
-            self._handed_over.release()
-
-    def result(self):
-        """The value of the call, or its exception."""
-        with self._handed_over:
-            pass
-        if self._outcome is None:
-            self.run()
-        value, exc = self._outcome
-        if exc is not None:
-            raise exc
-        return value
-
-
-class _Workers:
-    """Up to count threads, each started when a call is handed over, that
-    run the calls handed to them in order."""
-
-    def __init__(self, count: int):
-        self._count = count
-        self._threads = []
-        self._calls = collections.deque()
-        # released once per call handed over, and by close() once per thread
-        self._ready = threading.Semaphore(0)
-
-    def submit(self, call: _Call) -> None:
-        call.hand_over()
-        self._calls.append(call)
-        self._ready.release()
-        if len(self._threads) < self._count:
-            thread = threading.Thread(target=self._serve, daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
-    def _serve(self) -> None:
-        while True:
-            self._ready.acquire()
-            if not self._calls:
-                return
-            self._calls.popleft().run()
-
-    def close(self) -> None:
-        """Wait until every call handed over has run and every thread has
-        ended, so that after an error no call is left running."""
-        for _ in self._threads:
-            self._ready.release()
-        for thread in self._threads:
-            thread.join()
 
 
 def _convert_unproven(path: str, block, first: int, values: np.ndarray,

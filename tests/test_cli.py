@@ -322,6 +322,30 @@ class TestReader:
         with mock.patch.object(cli, "_BLOCK_BYTES", block):
             assert _estimate(path, capsys, *flags) == (code, out, err.format(path=path))
 
+    @pytest.mark.parametrize("case", [case for case in PARITY if case.startswith("padded")])
+    def test_padded_corpus_with_retries_on_a_worker(self, case, tmp_path, capsys):
+        # in batches of two blocks the retried blocks 16 and 32 come first and
+        # are converted in the reading thread; in batches of three a worker
+        # thread converts them
+        text, column, code, out, err = PARITY[case]
+        path = tmp_path / "input.txt"
+        path.write_bytes(text.encode("utf-8"))
+        parse_lines = _decimals.parse_lines
+        on_worker = []
+
+        def spy(block):
+            on_worker.append(threading.current_thread() is not threading.main_thread())
+            return parse_lines(block)
+
+        with mock.patch.object(cli, "_BLOCK_BYTES", _PADDED_BLOCK_BYTES), \
+                mock.patch.object(cli, "_THREADS", 3), \
+                mock.patch.object(_decimals, "parse_lines", spy):
+            assert _estimate(path, capsys) == (code, out, err.format(path=path))
+        # the kernel ran on the first batch, blocks 0-2, then only on block 16
+        # and, where no error in block 28 ends the read, block 32
+        retries = 2 if case == "padded_past_16_blocks" else 1
+        assert sorted(on_worker) == [False] + [True] * (2 + retries)
+
     @pytest.mark.parametrize("bad, index, text", [
         (130, 140, b"\xff2.5"), (150, 165, b"\xff2.5"), (130, 170, b"0"), (150, 185, b"0")],
         ids=["not_utf8_in_next_block", "not_utf8_in_next_block_odd",
@@ -336,8 +360,7 @@ class TestReader:
         lines[index] = text
         path = tmp_path / "input.txt"
         path.write_bytes(b"\n".join(lines) + b"\n")
-        with mock.patch.object(cli, "_BLOCK_BYTES", 256), \
-                mock.patch.object(cli, "_THREAD_MIN_BYTES", 0):
+        with mock.patch.object(cli, "_BLOCK_BYTES", 256):
             assert _estimate(path, capsys) == (
                 2, "", "error: %s:%d: not a number: 'banana'\n" % (path, bad + 1))
 
@@ -351,8 +374,7 @@ class TestReader:
         sys.setswitchinterval(1e-5)
         try:
             with mock.patch.object(cli, "_BLOCK_BYTES", 128), \
-                    mock.patch.object(cli, "_THREADS", 4), \
-                    mock.patch.object(cli, "_THREAD_MIN_BYTES", 0):
+                    mock.patch.object(cli, "_THREADS", 4):
                 values = cli._read_values(str(path), None)
         finally:
             sys.setswitchinterval(interval)
@@ -376,7 +398,6 @@ class TestReader:
 
         running = threading.active_count()
         with mock.patch.object(cli, "_BLOCK_BYTES", 256), \
-                mock.patch.object(cli, "_THREAD_MIN_BYTES", 0), \
                 mock.patch.object(_decimals, "parse_lines", fail_third):
             with pytest.raises(MemoryError):
                 cli._read_values(str(path), None)
@@ -412,7 +433,9 @@ class TestReader:
         lines = lines + ["1.5", "2.5"]
         path = tmp_path_factory.getbasetemp() / "property.txt"
         path.write_bytes((end.join(lines) + (end if last_end else "")).encode("utf-8"))
-        with mock.patch.object(cli, "_BLOCK_BYTES", block):
+        # in one thread: a hand-over to a worker costs more than a block of
+        # a few bytes; the tests above cut lines between threads
+        with mock.patch.object(cli, "_BLOCK_BYTES", block), mock.patch.object(cli, "_THREADS", 1):
             values = cli._read_values(str(path), None)
         expected = [float(t) for t in lines if t.strip() and not t.strip().startswith("#")]
         assert values.tobytes() == np.array(expected).tobytes()
