@@ -196,13 +196,54 @@ class HillPlotSeries:
 
 
 # --------------------------------------------------------------------------
-# Mean-log statistics
+# Window logs
+
+
+def _window_logs(values: np.ndarray, logs: np.ndarray,
+                 running: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """ln(X_r/X_l) and the excess mean_log - ln X_l of windows whose largest
+    value X_r is the first of a row: the whole row, or with ``running`` every
+    window (l, r) of a 1-D row with l > r.
+
+    Both are sums of ln(X_r/X_j), so a window keeps its digits however
+    narrow and at any scale.  Within a factor 2 of X_r the difference X_r -
+    X_j is exact, and log1p of it over X_j keeps ln(X_r/X_j) accurate
+    relative to itself as it nears 0; beyond that it is ln X_r - ln X_j,
+    with the absolute error of the two logs.  A whole row is summed
+    pairwise, by the same ufuncs for one window and for each C-contiguous
+    row of a block, so both give the same bits; running windows take one
+    cumulative sum.  Tied values give a span and an excess of exactly 0.
+    """
+    top = values[..., :1]
+    shift = logs[..., :1] - logs
+    near = values > 0.5 * top
+    # rows descend, so the values within a factor 2 of X_r lead each row
+    m = np.count_nonzero(np.atleast_2d(near).any(axis=0))
+    ratio = top - values[..., :m]
+    with np.errstate(over="ignore"):  # the ratios of far values, which log1p skips
+        ratio /= values[..., :m]
+    np.log1p(ratio, out=shift[..., :m], where=near[..., :m])
+    if running:
+        span = shift[1:]
+        return span, span - np.cumsum(shift)[1:] / np.arange(2, shift.size + 1)
+    span = shift[..., -1]
+    return span, span - shift.sum(axis=-1) / shift.shape[-1]
+
+
+def _window_bounds(sample: OrderedSample, window: TailWindow):
+    """X_l, X_r, ln(X_r/X_l), mean_log - ln X_l and the mean log of a window."""
+    _check_window(sample, window)
+    rows = slice(window.r - 1, window.l)
+    span, excess = map(float, _window_logs(sample.values[rows], sample.log_values[rows]))
+    return (float(sample.values[window.l - 1]), float(sample.values[window.r - 1]), span,
+            excess, float(sample.log_values[window.l - 1]) + excess)
 
 
 def mean_log(sample: OrderedSample, window: TailWindow) -> float:
-    """Plain average of ln(X_j) over the window, in [ln X_l, ln X_r]."""
-    _check_window(sample, window)
-    return float(np.mean(sample.log_values[window.r - 1:window.l]))
+    """Average of ln(X_j) over the window, as ln X_l plus the mean of
+    ln(X_j/X_l) >= 0: never below ln X_l, and above ln X_r by at most the
+    rounding of that sum."""
+    return _window_bounds(sample, window)[4]
 
 
 # --------------------------------------------------------------------------
@@ -216,14 +257,8 @@ def hill_estimate(sample: OrderedSample, k: int) -> EstimateResult:
     """
     if k < 2 or k > len(sample):
         raise WindowError("k must be in [2, %d], got %d" % (len(sample), k))
-    m = float(np.mean(sample.log_values[:k]))
-    h = m - float(sample.log_values[k - 1])
-    # np.mean of k equal logs need not return that log exactly, so ties are
-    # caught on the values; the mean of logs a few ulp apart can round to
-    # ln X_k or below it
-    if sample.values[k - 1] == sample.values[0]:
-        raise DegenerateSampleError("top-%d observations are all equal" % k)
-    if h <= 0.0:
+    low, high, _, h, m = _window_bounds(sample, TailWindow(l=k, r=1))
+    if h <= 0.0:  # only tied top values give 0
         raise DegenerateSampleError(
             "top-%d observations: Hill excess mean log - ln X_%d = %r is not positive"
             % (k, k, h))
@@ -234,8 +269,8 @@ def hill_estimate(sample: OrderedSample, k: int) -> EstimateResult:
         method="hill",
         iterations=0,
         converged=True,
-        window_low=float(sample.values[k - 1]),
-        window_high=float(sample.values[0]),
+        window_low=low,
+        window_high=high,
         k=k,
         mean_log=m,
     )
@@ -401,27 +436,14 @@ def _solve_windows(y: np.ndarray, span: np.ndarray, max_iterations: int,
     return alpha, converged, steps
 
 
-def _window_bounds(sample: OrderedSample, window: TailWindow):
-    """X_l, X_r, their logs and the window's mean log; rejects a window whose
-    end points have equal logs, which distinct values a few ulp apart can."""
-    m = mean_log(sample, window)  # checks the window first
-    low = float(sample.values[window.l - 1])
-    high = float(sample.values[window.r - 1])
-    ln_low = float(sample.log_values[window.l - 1])
-    ln_high = float(sample.log_values[window.r - 1])
-    if ln_low == ln_high:
-        raise DegenerateSampleError("window values %r to %r have equal logs" % (low, high))
-    return low, high, ln_low, ln_high, m
-
-
-def _solve_bounded(mean_log: float, L: float, R: float, ln_l: float, ln_r: float,
+def _solve_bounded(mean_log: float, L: float, R: float, excess: float, span: float,
                    k: int) -> EstimateResult:
-    """The safeguarded solve of G(alpha) = mean_log on [L, R], given ln L < ln R."""
-    span = ln_r - ln_l
-    y = (mean_log - ln_l) / span
-    if not (0.0 < y < 1.0):
+    """The safeguarded solve of G(alpha) = mean_log on [L, R], given the
+    excess mean_log - ln L and span = ln(R/L)."""
+    if not 0.0 < excess < span:
         raise DegenerateSampleError(
-            "mean log %r outside (ln L, ln R) = (%r, %r)" % (mean_log, ln_l, ln_r))
+            "mean log %r outside (ln L, ln R) for L=%r R=%r" % (mean_log, L, R))
+    y = excess / span
     if not _has_root(np.array([y]))[0]:
         raise SolverFailureError("no root within |alpha * ln(R/L)| <= %g" % _BRACKET_LIMIT)
     alpha, converged, _ = _solve_windows(np.array([y]), np.array([span]), _MAX_STEPS)
@@ -449,10 +471,11 @@ def solve_direct(mean_log: float, L: float, R: float) -> EstimateResult:
     """
     if not (0.0 < L < R):
         raise DegenerateBoundsError("need 0 < L < R, got L=%r R=%r" % (L, R))
-    ln_l, ln_r = math.log(L), math.log(R)
-    if ln_l == ln_r:
+    ln_l = math.log(L)
+    span = math.log(R) - ln_l
+    if span == 0.0:
         raise DegenerateBoundsError("bounds L=%r R=%r have equal logs" % (L, R))
-    return _solve_bounded(mean_log, L, R, ln_l, ln_r, 0)
+    return _solve_bounded(mean_log, L, R, mean_log - ln_l, span, 0)
 
 
 def improved_estimate(sample: OrderedSample, window: TailWindow) -> EstimateResult:
@@ -461,8 +484,8 @@ def improved_estimate(sample: OrderedSample, window: TailWindow) -> EstimateResu
     Equates the window's empirical mean log to G(alpha) with L = X_l and
     R = X_r and returns the unique root; mu = alpha + 1.
     """
-    low, high, ln_low, ln_high, m = _window_bounds(sample, window)
-    return _solve_bounded(m, low, high, ln_low, ln_high, window.k)
+    low, high, span, excess, m = _window_bounds(sample, window)
+    return _solve_bounded(m, low, high, excess, span, window.k)
 
 
 def solve_iterative(sample: OrderedSample, window: TailWindow,
@@ -484,11 +507,10 @@ def solve_iterative(sample: OrderedSample, window: TailWindow,
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    low, high, ln_low, ln_high, m = _window_bounds(sample, window)
-    if m == ln_low:
+    low, high, span, excess, m = _window_bounds(sample, window)
+    if excess <= 0.0:  # only tied values give 0
         raise DegenerateSampleError("mean log equals ln X_l; Hill seed undefined")
-    span = ln_high - ln_low
-    y = np.array([(m - ln_low) / span])
+    y = np.array([excess / span])
     alpha, converged, steps = _solve_windows(y, np.array([span]), max_iterations, seed=1.0 / y)
     if not np.isfinite(alpha[0]):
         raise SolverFailureError("iteration diverged at step %d" % steps[0])
@@ -520,48 +542,48 @@ def full_window_estimates(blocks: Iterable[np.ndarray], max_iterations: int = _M
     per sample, in order: X_l and X_r (the smallest and largest value), the
     mean log, and mu from :func:`hill_estimate` over the whole sample, from
     :func:`solve_iterative` with ``max_iterations`` and from
-    :func:`improved_estimate`.  All six are bit-identical to
-    the one-sample functions: each row is logged and summed on its own, in
-    the same order, and its roots are solved by the same Newton loop from
-    the same ln X_l and ln X_r.  A sample that the one-sample functions
-    reject raises the same EstimationError subclass, for the first such
-    sample and, within it, the first check they would fail; its message
-    names the sample as ``name(i)`` for the i-th sample (from 0), by
-    default "sample i+1 of N".
+    :func:`improved_estimate`.  All six are bit-identical to the one-sample
+    functions: each row's shifted logs are formed by the same ufuncs and
+    summed on their own, in the same order, and its roots are solved by the
+    same Newton loop from the same span and excess.  A sample that the
+    one-sample functions reject raises the same EstimationError subclass,
+    for the first such sample and, within it, the first check they would
+    fail; its message names the sample as ``name(i)`` for the i-th sample
+    (from 0), by default "sample i+1 of N".
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    columns: list[list[np.ndarray]] = [[] for _ in range(6)]
+    columns: list[list[np.ndarray]] = [[] for _ in range(5)]
     for values in blocks:
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[1] < 2:
             raise DegenerateSampleError(
                 "need rows of at least 2 observations, got shape %s" % (values.shape,))
+        # contiguous, as OrderedSample's are: numpy may take a loop that
+        # differs in the last bit for strided input
+        values = np.ascontiguousarray(values)
         with np.errstate(divide="ignore", invalid="ignore"):
-            # contiguous, as OrderedSample's are: numpy may take a loop that
-            # differs in the last bit for strided input
-            logs = np.log(np.ascontiguousarray(values))
-            parts = (values[:, -1], values[:, 0], logs.mean(axis=1), logs[:, -1], logs[:, 0],
-                     np.isfinite(logs).all(axis=1))
+            logs = np.log(values)
+            span, excess = _window_logs(values, logs)
+            parts = (values[:, -1], values[:, 0], span, excess, logs[:, -1] + excess)
         for column, part in zip(columns, parts):
             column.append(part.copy())  # a view would keep the whole block alive
     if not columns[0]:
         raise DegenerateSampleError("need at least one block of samples")
-    low, high, mean, ln_low, ln_high, finite = map(np.concatenate, columns)
+    low, high, span, excess, mean = map(np.concatenate, columns)
     with np.errstate(divide="ignore", invalid="ignore"):
-        excess = mean - ln_low
-        span = ln_high - ln_low
         y = excess / span
         mu_hill = 1.0 / excess + 1.0
         hill_seed = 1.0 / y
     alpha_iterative, _, _ = _solve_windows(y, span, max_iterations, seed=hill_seed)
-    # checks in the order the one-sample path meets them
+    # checks in the order the one-sample path meets them: a non-finite or
+    # non-positive value leaves a non-finite excess, and a positive excess
+    # leaves y in (0, 1)
     failures = (
-        (~finite, DegenerateSampleError, "sample contains non-finite or non-positive values"),
-        ((excess <= 0.0) | (span == 0.0), DegenerateSampleError,
-         "Hill excess is not positive or X_l and X_r have equal logs"),
+        (~np.isfinite(excess), DegenerateSampleError,
+         "sample contains non-finite or non-positive values"),
+        (excess <= 0.0, DegenerateSampleError, "Hill excess is not positive"),
         (~np.isfinite(alpha_iterative), SolverFailureError, "iteration diverged"),
-        (~((0.0 < y) & (y < 1.0)), DegenerateSampleError, "mean log outside (ln L, ln R)"),
         (~_has_root(y), SolverFailureError,
          "no root within |alpha * ln(R/L)| <= %g" % _BRACKET_LIMIT),
     )
@@ -580,25 +602,6 @@ def full_window_estimates(blocks: Iterable[np.ndarray], max_iterations: int = _M
 # Generalised Hill plot
 
 
-def _window_excess(values: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """ln(X_r/X_l) and mean_log - ln X_l of every window (l, r), l = r+1..n.
-
-    Logs are taken relative to X_r before the prefix sums, so a narrow window
-    keeps its digits: both results are built from small numbers.  Within a
-    factor 2 of X_r the difference X_r - X_j is exact, and log1p of it over
-    X_j keeps ln(X_r/X_j) accurate relative to itself as it nears 0; a
-    difference of two logs would carry their absolute rounding error.
-    """
-    top = values[r - 1]
-    tail = values[r - 1:]
-    near = tail > 0.5 * top
-    shift = np.log(top) - np.log(tail)
-    shift[near] = np.log1p((top - tail[near]) / tail[near])
-    span = shift[1:]
-    mean = np.cumsum(shift)[1:] / np.arange(2, shift.size + 1)
-    return span, span - mean
-
-
 def hill_plot_series(sample: OrderedSample, r: int) -> HillPlotSeries:
     """Per-l series of classical and bounded-domain estimates, in O(n).
 
@@ -609,29 +612,22 @@ def hill_plot_series(sample: OrderedSample, r: int) -> HillPlotSeries:
     solved together in the Newton loop that :func:`solve_direct` runs on one
     root, with its seed, bracket, step and residual tests.
     The arrays are returned as the sweep computes them.  An entry is NaN
-    where the per-window estimators fail: a Hill excess that is not
-    positive, as tied top values give (Hill), X_l == X_r, a mean log outside
-    (ln X_l, ln X_r), no root within |delta| <= 1e4, or no convergence
-    within 100 steps.  Windows of values a few ulp apart are the exception:
-    the sweep takes exact differences to X_1 and X_r, which stay positive
-    where the per-window mean log rounds onto or past a bound.
-    On 3.000000000000001 and twelve 3.0 the sweep reports mu_hill of
-    3.4e16-4.4e16 at l = 10..13, where :func:`hill_estimate` rejects the
-    window, and mu_improved at every l, where :func:`improved_estimate`
-    rejects every window.
+    where the per-window estimators fail: tied top values (Hill), X_l ==
+    X_r, no root within |delta| <= 1e4, or no convergence within 100 steps.
     """
     n = len(sample)
     if r < 1 or r >= n:
         raise WindowError("r must be in [1, %d), got %d" % (n, r))
-    top_span, top_excess = _window_excess(sample.values, 1)
-    span, excess = (top_span, top_excess) if r == 1 else _window_excess(sample.values, r)
+    top_span, top_excess = _window_logs(sample.values, sample.log_values, running=True)
+    span, excess = (top_span, top_excess) if r == 1 else _window_logs(
+        sample.values[r - 1:], sample.log_values[r - 1:], running=True)
     hill_excess = top_excess[r - 1:]
     with np.errstate(divide="ignore"):
         mu_hill = np.where(hill_excess <= 0.0, np.nan, 1.0 / hill_excess + 1.0)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         y = excess / span
-    todo = np.flatnonzero((span > 0.0) & _has_root(y))
+    todo = np.flatnonzero(_has_root(y))  # NaN where X_l == X_r
     alpha, converged, _ = _solve_windows(y[todo], span[todo], _MAX_STEPS)
     mu_improved = np.full(span.size, np.nan)
     mu_improved[todo[converged]] = alpha[converged] + 1.0

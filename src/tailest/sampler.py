@@ -178,12 +178,16 @@ class SeedStreams:
 
     def __init__(self, seeds: Iterable[int]):
         self.seeds = tuple(seeds)
+        self._starts = []
+        self._generator = None  # wraps the first seed's PCG64; fill sets its state
         for seed in self.seeds:
             if seed < 0:
                 raise ValueError("need seed >= 0, got %d" % seed)
-        self._starts = [(state["state"], state["inc"]) for state in (
-            np.random.PCG64(seed).state["state"] for seed in self.seeds)]
-        self._generator = np.random.Generator(np.random.PCG64(0))  # state set before each use
+            bits = np.random.PCG64(seed)
+            state = bits.state["state"]
+            self._starts.append((state["state"], state["inc"]))
+            if self._generator is None:
+                self._generator = np.random.Generator(bits)
 
     def __len__(self) -> int:
         return len(self.seeds)
@@ -195,10 +199,10 @@ class SeedStreams:
 
     def fill(self, out: np.ndarray) -> None:
         """Fill row i of the 2-D ``out`` with the first uniforms of seed i's stream."""
-        bits = self._generator.bit_generator
         for row, (state, inc) in zip(out, self._starts):
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
+            self._generator.bit_generator.state = {
+                "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0}
             self._generator.random(out=row)
 
 

@@ -105,23 +105,28 @@ class TestEstimate:
         path.write_text("1.0\n2.0\n3.0\n")
         assert _run(["estimate", str(path), "--xmin", "2.5"]) == 4
 
-    def test_negative_hill_excess_exits_4(self, tmp_path, capsys):
-        # the mean log of these 13 values rounds below ln X_13
+    def test_near_tied_values_exit_0(self, tmp_path, capsys):
+        # the plain mean of these 13 logs rounds below ln X_13; their shifted
+        # logs give the oracle's Hill mu 1 + 13 / ln(1 + 2^-50/3) = 4.3910e16
+        # and bounded-domain mu 4.3909e16
         path = tmp_path / "near_ties.txt"
         path.write_text("3.000000000000001\n" + "3.0\n" * 12)
-        assert _run(["estimate", str(path)]) == 4
+        assert _run(["estimate", str(path)]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert re.fullmatch(r"error: top-13 observations: Hill excess .* is not positive\n",
-                            captured.err)
+        assert "\nhill mu=4.391e+16 alpha=4.391e+16\n" in captured.out
+        assert "\nimproved mu=4.391e+16 alpha=4.391e+16\n" in captured.out
+        assert captured.err == ""
 
-    def test_degenerate_sample_exits_4(self, tmp_path):
+    def test_degenerate_sample_exits_4(self, tmp_path, capsys):
         path = tmp_path / "flat.txt"
         path.write_text("5.0\n5.0\n5.0\n")
         assert _run(["estimate", str(path)]) == 4
-        # distinct values whose logs tie, and whose mean log rounds below them
+        # distinct values whose logs tie are not degenerate: the oracle's Hill
+        # mu is 1 + 11 / ln(1 + 2^-51/3) = 7.4309e16
         path.write_text("%r\n" % math.nextafter(3.0, 4.0) + "3.0\n" * 10)
-        assert _run(["estimate", str(path)]) == 4
+        capsys.readouterr()
+        assert _run(["estimate", str(path)]) == 0
+        assert "\nhill mu=7.431e+16 alpha=7.431e+16\n" in capsys.readouterr().out
 
     def test_window_override(self, tmp_path, capsys):
         path = tmp_path / "data.txt"
@@ -723,8 +728,9 @@ class TestTable:
 
     def test_matches_golden_table(self, tmp_path):
         # tests/data/table_seeds_1-5.csv was written by the per-seed runner this
-        # block runner replaced: every column but the two solved ones is
-        # byte-identical, and those agree to 1e-12 relative
+        # block runner replaced, with sigma and mu_hill re-recorded when every
+        # estimate moved to shifted logs: every column but the two solved ones
+        # is byte-identical, and those agree to 1e-12 relative
         assert _run(["table", "--seeds", "1-5", "--out", str(tmp_path)]) == 0
         got = (tmp_path / "table.csv").read_text().splitlines()
         want = (Path(__file__).parent / "data" / "table_seeds_1-5.csv").read_text().splitlines()

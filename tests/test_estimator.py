@@ -36,6 +36,15 @@ LOG_TIE = [math.nextafter(3.0, 4.0)] + [3.0] * 10
 # for the top 10 to 12 values and below it for all 13 (3.000000000000001 is
 # this float)
 ROUNDS_BELOW = [math.nextafter(math.nextafter(3.0, 4.0), 4.0)] + [3.0] * 12
+# The 50-digit oracle of these near ties: X_1 / X_j = 1 + 2^-51/3 in LOG_TIE
+# and 1 + 2^-50/3 in ROUNDS_BELOW, so a top-k window has span s = ln(X_1/X_k)
+# and y = 1/k: Hill mu = 1 + k/s, and the bounded-domain mu = 1 + delta_k/s
+# with g(delta_k) = 1/k.  Shifted logs give y to a few units of 2^-52, so
+# each estimate lies within NEAR_TIE_REL of its oracle (64 units of y, k <= 13).
+ONE_ULP_SPAN = 1.4802973661668753e-16
+TWO_ULP_SPAN = 2.96059473233375e-16
+ROOT_DELTA = {8: 7.97810773697707, 11: 10.997975337245235, 13: 12.999617868698698}
+NEAR_TIE_REL = 2e-13
 
 E = math.e
 
@@ -179,14 +188,16 @@ class TestHillEstimate:
                 hill_estimate(s, k)
 
     def test_non_positive_excess(self):
-        # the mean log rounds onto ln X_k (k = 10..12) or below it (k = 13):
-        # no Hill exponent, where a negative one used to be reported
+        # tied top values leave an excess of exactly 0
+        s = OrderedSample([7.3, 7.3, 7.3, 7.3, 2.0])
+        with pytest.raises(DegenerateSampleError,
+                           match=r"^top-4 observations: Hill excess .* = 0\.0 is not positive$"):
+            hill_estimate(s, 4)
+        # values two ulp apart keep their excess, which the mean of their logs
+        # rounds onto ln X_k (k = 10..12) or below it (k = 13)
         s = OrderedSample(ROUNDS_BELOW)
-        assert hill_estimate(s, 9).alpha > 0.0
-        for k in (10, 11, 12, 13):
-            with pytest.raises(DegenerateSampleError,
-                               match=r"^top-%d observations: Hill excess .* is not positive$" % k):
-                hill_estimate(s, k)
+        for k in range(2, 14):
+            assert hill_estimate(s, k).mu == pytest.approx(1 + k / TWO_ULP_SPAN, rel=NEAR_TIE_REL)
 
     @pytest.mark.parametrize("k", [0, 1, 4])
     def test_k_out_of_range(self, k):
@@ -435,20 +446,26 @@ class TestSolveIterative:
         assert res.iterations == 1
 
     def test_degenerate_window(self):
-        for values in ([2.0, 2.0, 2.0], LOG_TIE):
-            s = OrderedSample(values)
-            with pytest.raises(DegenerateSampleError):
-                solve_iterative(s, full_window(s))
-
-    def test_divergence_names_its_step(self):
-        # the mean log rounds below ln X_l, so no root exists and the ninth
-        # unguarded step leaves the floats; the eighth is still finite
-        s = OrderedSample(ROUNDS_BELOW)
-        assert mean_log(s, full_window(s)) < s.log_values[-1]
-        with pytest.raises(SolverFailureError, match="diverged at step 9$"):
+        s = OrderedSample([2.0, 2.0, 2.0])
+        with pytest.raises(DegenerateSampleError):
             solve_iterative(s, full_window(s))
-        res = solve_iterative(s, full_window(s), max_iterations=8)
-        assert (res.iterations, res.converged) == (8, False)
+        # distinct values whose logs tie are not degenerate
+        s = OrderedSample(LOG_TIE)
+        res = solve_iterative(s, full_window(s))
+        assert res.converged
+        assert res.mu == pytest.approx(1 + ROOT_DELTA[11] / ONE_ULP_SPAN, rel=NEAR_TIE_REL)
+
+    def test_near_tied_window_converges(self):
+        # the plain mean of these logs rounds below ln X_l, where no root
+        # exists and the unguarded steps leave the floats; their shifted logs
+        # give y = 1/13 and a root in three steps
+        s = OrderedSample(ROUNDS_BELOW)
+        assert mean_log(s, full_window(s)) >= s.log_values[-1]
+        res = solve_iterative(s, full_window(s))
+        assert (res.iterations, res.converged) == (3, True)
+        assert res.mu == pytest.approx(1 + ROOT_DELTA[13] / TWO_ULP_SPAN, rel=NEAR_TIE_REL)
+        res = solve_iterative(s, full_window(s), max_iterations=2)
+        assert (res.iterations, res.converged) == (2, False)
 
 
 class TestImprovedEstimate:
@@ -490,10 +507,13 @@ class TestImprovedEstimate:
         assert r0 == r1
 
     def test_degenerate_window(self):
-        for values in ([5.0, 5.0], LOG_TIE):
-            s = OrderedSample(values)
-            with pytest.raises(DegenerateSampleError):
-                improved_estimate(s, full_window(s))
+        s = OrderedSample([5.0, 5.0])
+        with pytest.raises(DegenerateSampleError):
+            improved_estimate(s, full_window(s))
+        # distinct values whose logs tie are not degenerate
+        s = OrderedSample(LOG_TIE)
+        assert improved_estimate(s, full_window(s)).mu == pytest.approx(
+            1 + ROOT_DELTA[11] / ONE_ULP_SPAN, rel=NEAR_TIE_REL)
 
     def test_approaches_hill_as_high_bound_grows(self):
         # with an exact-power-law mean the Hill inverse of the same mean
@@ -554,35 +574,29 @@ class TestHillPlotSeries:
         assert not np.isnan(series.mu_improved[-1])
 
     def test_hill_entries_have_positive_excess(self):
-        # the sweep takes each Hill excess from exact differences to X_1, so it
-        # stays positive where the per-window mean log rounds to ln X_l or
-        # below; neither reports a Hill mu <= 1 (a negative alpha)
+        # the sweep and hill_estimate take each Hill excess from exact
+        # differences to X_1, so it stays positive where the mean of the logs
+        # rounds to ln X_l or below; neither reports a Hill mu <= 1
         s = OrderedSample(ROUNDS_BELOW)
         series = hill_plot_series(s, r=1)
         for l, mu in zip(series.l_values.tolist(), series.mu_hill.tolist()):
             assert mu > 1.0  # also false for a NaN blank
-            try:
-                assert hill_estimate(s, l).mu > 1.0
-            except DegenerateSampleError:
-                assert l >= 10
+            assert hill_estimate(s, l).mu > 1.0
 
-    def test_near_tied_values_are_reported_where_windows_fail(self):
-        # the documented exception to "NaN where the per-window estimators
-        # fail": on values a few ulp apart the sweep's exact differences keep
-        # a positive excess that the per-window mean log rounds away
+    def test_near_tied_values_are_reported_where_windows_succeed(self):
+        # on values a few ulp apart the sweep and the per-window estimators
+        # take the same exact differences, so each entry is its window's
+        # estimate (up to the running sum's rounding) and its oracle's
         s = OrderedSample(ROUNDS_BELOW)
         series = hill_plot_series(s, r=1)
         assert series.l_values.tolist() == list(range(2, 14))
-        assert not np.isnan(series.mu_hill).any()
-        assert not np.isnan(series.mu_improved).any()
-        for l, mu in zip(series.l_values.tolist(), series.mu_hill.tolist()):
-            if l >= 10:
-                assert 3.3e16 < mu < 4.4e16
-                with pytest.raises(DegenerateSampleError):
-                    hill_estimate(s, l)
-        for l in series.l_values.tolist():
-            with pytest.raises(DegenerateSampleError):
-                improved_estimate(s, TailWindow(l, 1))
+        for l, hill, improved in zip(series.l_values.tolist(), series.mu_hill.tolist(),
+                                     series.mu_improved.tolist()):
+            assert hill == pytest.approx(hill_estimate(s, l).mu, rel=1e-12)
+            assert improved == pytest.approx(improved_estimate(s, TailWindow(l, 1)).mu,
+                                             rel=1e-12)
+            assert hill == pytest.approx(1 + l / TWO_ULP_SPAN, rel=NEAR_TIE_REL)
+        assert improved == pytest.approx(1 + ROOT_DELTA[13] / TWO_ULP_SPAN, rel=NEAR_TIE_REL)
 
     # The prefix-sum sweep against a loop of per-window estimates: the same
     # blank entries, and the same mu wherever ln(R/L) >= 1e-2 (narrower
@@ -711,7 +725,7 @@ class TestFullWindowEstimates:
     TIED = [5.0] * 8
     # y ~ 1/8 < g(5) ~ 0.19: no root within a bracket of 5 (y >= 1/n always)
     NO_ROOT = [100.0, 1.002, 1.001, 1.0, 1.0, 1.0, 1.0, 1.0]
-    # logs that tie, or a mean log that rounds onto a bound
+    # logs that tie: y = 1/8, so no root within a bracket of 5 either
     ONE_ULP = [math.nextafter(3.0, 4.0)] + [3.0] * 7
 
     @pytest.mark.parametrize("blocks", [
@@ -724,8 +738,9 @@ class TestFullWindowEstimates:
         # the first bad sample decides the error, across blocks of any width
         [[GOOD], [NO_ROOT, TIED]],
         [[GOOD[:4], GOOD[4:]], [TIED], [NO_ROOT]],
+        # near ties, whose y = 1/n has no root within a bracket of 5
         [[LOG_TIE]],
-        [[ROUNDS_BELOW]],  # the Hill excess rounds below 0
+        [[ROUNDS_BELOW]],
     ])
     def test_rejects_like_one_sample_path(self, blocks, monkeypatch):
         monkeypatch.setattr(estimator, "_BRACKET_LIMIT", 5.0)
@@ -736,11 +751,32 @@ class TestFullWindowEstimates:
             full_window_estimates([np.array(block) for block in blocks], ITER5_MAX_ITERATIONS)
         assert type(info.value) is expected
 
+    @pytest.mark.parametrize("values, k", [(ONE_ULP, 8), (LOG_TIE, 11), (ROUNDS_BELOW, 13)],
+                             ids=["ONE_ULP", "LOG_TIE", "ROUNDS_BELOW"])
+    def test_near_ties_match_one_sample_path(self, values, k):
+        # accepted at the default bracket, bit for bit as the one-sample path
+        # estimates them, and within reach of their oracle
+        columns = full_window_estimates([np.array([self.GOOD]), np.array([values])],
+                                        ITER5_MAX_ITERATIONS)
+        mean, hill, iterated, direct = _one_sample_estimates(
+            values, {"max_iterations": ITER5_MAX_ITERATIONS})
+        assert [column[1] for column in columns[2:]] == [mean, hill, iterated, direct]
+        span = ONE_ULP_SPAN if values[0] == LOG_TIE[0] else TWO_ULP_SPAN
+        assert hill == pytest.approx(1 + k / span, rel=NEAR_TIE_REL)
+        assert direct == pytest.approx(1 + ROOT_DELTA[k] / span, rel=NEAR_TIE_REL)
+
     def test_non_positive_hill_excess_is_degenerate(self):
-        # rejected as hill_estimate rejects it, before the iteration diverges
-        blocks = [np.array([self.GOOD]), np.array([ROUNDS_BELOW])]
-        with pytest.raises(DegenerateSampleError, match=r"^sample 2 of 2: Hill excess"):
+        # rejected as hill_estimate rejects it, before the iteration fails:
+        # tied values leave an excess of exactly 0
+        blocks = [np.array([self.GOOD]), np.array([self.TIED])]
+        with pytest.raises(DegenerateSampleError,
+                           match=r"^sample 2 of 2: Hill excess is not positive$"):
             full_window_estimates(blocks)
+        # the excess of values two ulp apart, which the mean of their logs
+        # rounds below 0, is positive
+        blocks = [np.array([self.GOOD]), np.array([ROUNDS_BELOW])]
+        hill = full_window_estimates(blocks)[3]
+        assert hill[1] == pytest.approx(1 + 13 / TWO_ULP_SPAN, rel=NEAR_TIE_REL)
 
     def test_needs_blocks_of_samples(self):
         for blocks in ([], [np.array([3.0, 2.0])], [np.array([[3.0], [2.0]])]):
@@ -773,3 +809,143 @@ class TestMaxIterations:
             with pytest.raises(ValueError, match="max_iterations must be >= 1"):
                 full_window_estimates([s.values[None, :]], max_iterations=bad)
         assert solve_iterative(s, full_window(s), max_iterations=1).iterations == 1
+
+
+# --------------------------------------------------------------------------
+# Every estimate against a 50-digit oracle
+#
+# Each estimate is mu = 1 + alpha(y, span), where span = ln(X_r/X_l) and y =
+# (mean_log - ln X_l) / span.  The oracle takes the same doubles, forms
+# ln(X_r/X_j) at 50 digits, sums them exactly and solves g(delta) = y (Hill:
+# alpha = 1 / (y span)).  Shifted logs summed pairwise give y to a few units
+# of 2^-52; a window that reaches below X_r / 2 adds the rounding of two
+# double logs, (|ln X_r| + |ln X_l|) 2^-52 / span, and the sweep's running
+# sum over k values adds up to k/2 units.  The bound is 64 units of y (64 +
+# k/2 for the sweep), carried into mu by the root's condition |d alpha/d y|,
+# which is 1 / (y^2 span) for Hill and 1 / (|g'(delta)| span) for the
+# bounded-domain root:
+#
+#     |mu - mu_oracle| <= units * 2^-52 * (1 + far / span) * |d alpha / d y|
+
+
+def _oracle_samples():
+    """(label, sample) pairs: scales 1e-300..1e300, values a few ulp apart or
+    spread over ln(X_1/X_n) up to a width from 1e-12 to 600, n from 2 to 10^4."""
+    rng = np.random.default_rng(24)
+    for n, width in [(2, "ulp"), (13, "ulp"), (200, "ulp"), (3000, "ulp"), (2, 1e-12),
+                     (40, 1e-12), (1000, 1e-12), (10_000, 1e-9), (500, 1e-6), (5, 1e-3),
+                     (300, 0.05), (1000, 0.69), (10_000, 0.5), (60, 3.0), (2000, 8.0),
+                     (10_000, 4.0), (300, 40.0), (100, 600.0)]:
+        if width == "ulp":
+            scale = 10.0 ** rng.uniform(-300.0, 300.0)
+            values = scale * (1.0 + 2.0 ** -52 * rng.integers(0, 6, n))
+        else:
+            scale = math.exp(rng.uniform(-690.0, 690.0 - width))
+            values = scale * np.exp(width * rng.random(n) ** rng.uniform(0.2, 4.0))
+        yield "n=%d width=%s scale=%.3g" % (n, width, scale), OrderedSample(values)
+
+
+class _Oracle:
+    """50-digit estimates of one sample's windows, each with its error in mu
+    per unit error in y, (1 + far / span) |d alpha / d y|."""
+
+    def __init__(self, mpmath, sample):
+        self.mp, self.values = mpmath, sample.values.tolist()
+        self._shifts = {}
+
+    def _stats(self, l, r):
+        """ln(X_r/X_l) and y, from ln(X_r/X_j) cached per r."""
+        have = self._shifts.setdefault(r, [])
+        top = self.mp.mpf(self.values[r - 1])
+        have += [self.mp.log(top / self.mp.mpf(v)) for v in self.values[r - 1 + len(have):l]]
+        span = have[l - r]
+        return span, (1 - self.mp.fsum(have[:l - r + 1]) / ((l - r + 1) * span) if span else 0)
+
+    def _per_y(self, l, r, d_alpha, span):
+        high, low = self.values[r - 1], self.values[l - 1]
+        far = abs(math.log(high)) + abs(math.log(low)) if low <= 0.5 * high else 0.0
+        return float((1 + far / span) * abs(d_alpha))
+
+    def hill(self, k):
+        """(mu, error per y), or None where the top k values tie."""
+        span, y = self._stats(k, 1)
+        if not span:
+            return None
+        return float(1 + 1 / (y * span)), self._per_y(k, 1, 1 / (y * y * span), span)
+
+    def improved(self, l, r):
+        """(mu, error per y, delta), or None where X_l == X_r."""
+        mp = self.mp
+        span, y = self._stats(l, r)
+        if not span:
+            return None
+
+        def g(d):
+            return 0.5 - d / 12 + d ** 3 / 720 if abs(d) < 1e-12 else 1 / d - 1 / mp.expm1(d)
+
+        delta = mp.findroot(lambda d: g(d) - y, (-1 / (1 - y), 1 / y), solver="anderson")
+        slope = (-mp.mpf(1) / 12 if abs(delta) < 1e-12
+                 else mp.exp(delta) / mp.expm1(delta) ** 2 - 1 / delta ** 2)
+        return (float(1 + delta / span), self._per_y(l, r, 1 / (slope * span), span),
+                float(delta))
+
+
+def test_every_estimate_within_bound_of_50_digit_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2406)
+    misses = []
+
+    def check(what, estimate, want, units=64):
+        """Record a miss where estimate() raises or errs by more than the
+        bound; None is an unconverged iteration, which is not checked."""
+        try:
+            got = estimate()
+        except EstimationError as exc:
+            misses.append("%s: %s: %s" % (what, type(exc).__name__, exc))
+            return
+        bound = units * 2.0 ** -52 * want[1]
+        if got is not None and not abs(got - want[0]) <= bound:
+            misses.append("%s: %r, oracle %r, bound %.3g" % (what, got, want[0], bound))
+
+    def iterated(sample, window):
+        res = solve_iterative(sample, window)
+        return res.mu if res.converged else None
+
+    with mpmath.workdps(50):
+        for label, sample in _oracle_samples():
+            oracle, n = _Oracle(mpmath, sample), len(sample)
+            windows = {(n, 1)}
+            for r in rng.integers(1, n, 2).tolist():
+                windows.add((int(rng.integers(r + 1, n + 1)), r))
+            for l, r in sorted(windows):
+                where = "%s (l=%d r=%d)" % (label, l, r)
+                window = TailWindow(l=l, r=r)
+                hill, improved = oracle.hill(l), oracle.improved(l, r)
+                if hill is None:  # tied top values
+                    with pytest.raises(DegenerateSampleError):
+                        hill_estimate(sample, l)
+                else:
+                    check("hill " + where, lambda: hill_estimate(sample, l).mu, hill)
+                if improved is None or abs(improved[2]) > 1e4:  # X_l == X_r, or no root
+                    with pytest.raises(EstimationError):
+                        improved_estimate(sample, window)
+                else:
+                    check("improved " + where, lambda: improved_estimate(sample, window).mu,
+                          improved)
+                    check("iterative " + where, lambda: iterated(sample, window), improved)
+                    if hill is not None and r == 1:
+                        for column, name, want in ((3, "hill", hill), (4, "iter", improved),
+                                                   (5, "direct", improved)):
+                            check("table %s %s" % (name, where), lambda: full_window_estimates(
+                                [sample.values[None, :l]])[column][0], want)
+                series = hill_plot_series(sample, r)
+                for at in {l, int(rng.integers(r + 1, n + 1))}:
+                    at_hill, at_improved = oracle.hill(at), oracle.improved(at, r)
+                    if at_hill is not None:
+                        check("sweep hill %s at l=%d" % (where, at),
+                              lambda: series.mu_hill[at - r - 1], at_hill, 64 + at / 2)
+                    if at_improved is not None and abs(at_improved[2]) <= 1e4:
+                        check("sweep improved %s at l=%d" % (where, at),
+                              lambda: series.mu_improved[at - r - 1], at_improved,
+                              64 + (at - r + 1) / 2)
+    assert not misses, "\n".join(misses)
