@@ -36,15 +36,13 @@ from .experiments import (
     FIGURE_EXAMPLES,
     FigureExampleError,
     TableRowError,
-    _csv_rows,
+    _csv_pieces,
     check_figure_examples,
     check_table_rows,
-    figure_csv,
     merge_ranges,
     run_figure,
     run_full_table,
     summarize_table,
-    table_csv,
 )
 from .sampler import (
     DENSITIES,
@@ -370,7 +368,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.plot is not None:
         series = hill_plot_series(sample, r=window.r)
         with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write(figure_csv(series))
+            fh.writelines(_csv_pieces(series))
         print("wrote %s" % args.plot, file=sys.stderr)
     return 0
 
@@ -390,10 +388,6 @@ def _spec_from_args(args: argparse.Namespace) -> DistributionSpec:
     params = {name: getattr(args, name) for name in _PARAMS if getattr(args, name) is not None}
     return DistributionSpec.of(kind, args.dlow, args.dhigh, args.grid_points, **params)
 
-
-# Values per piece that simulate formats and writes at once; the text of a
-# whole 10^6-draw sample at once doubled its peak memory.
-_PIECE = 1 << 16
 
 # The most CDF mass one grid cell may hold before simulate refuses the grid.
 # Draws inside a cell are spread almost uniformly, so a cell that holds much
@@ -420,22 +414,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     summary = "n %d  sigma %s  L %s  R %s" % (
         len(sample), _fmt(sigma_statistic(sample)),
         _fmt(float(sample.values[-1])), _fmt(float(sample.values[0])))
+    lines = itertools.islice(_csv_pieces({"value": sample.values}), 1, None)  # no header
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            _write_lines(fh, sample.values)
+            fh.writelines(lines)
         print(summary)
         print("wrote %s" % args.out, file=sys.stderr)
     else:
-        _write_lines(sys.stdout, sample.values)
+        sys.stdout.writelines(lines)
         print(summary, file=sys.stderr)
     return 0
-
-
-def _write_lines(fh, values: np.ndarray) -> None:
-    """Write each value on a line of its own, as the CSV rows of one column,
-    _PIECE values at a time."""
-    for start in range(0, len(values), _PIECE):
-        fh.write("\n".join(_csv_rows([values[start:start + _PIECE].tolist()])) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -451,16 +439,15 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise _CliError(2, "--seeds selects %d seeds (at most %d)" % (count, _MAX_SEEDS))
     check_table_rows(rows)  # before expanding rows
     results = run_full_table(_ids(seeds), _ids(rows))
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "table.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(table_csv(results))
-    print("wrote %s" % path, file=sys.stderr)
+    reports = {"table.csv": results}
     if count > 1:
-        summary_path = os.path.join(args.out, "table_summary.csv")
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            fh.write(table_csv(summarize_table(results)))
-        print("wrote %s" % summary_path, file=sys.stderr)
+        reports["table_summary.csv"] = summarize_table(results)
+    os.makedirs(args.out, exist_ok=True)
+    for name, report in reports.items():
+        path = os.path.join(args.out, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(_csv_pieces(report))
+        print("wrote %s" % path, file=sys.stderr)
     return 0
 
 
@@ -474,7 +461,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         series = run_figure(example_id, args.seed)
         base = os.path.join(args.out, "figure%d" % fig.figure_number)
         with open(base + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(figure_csv(series))
+            fh.writelines(_csv_pieces(series))
         title = "%s, n=%d, expected mu=%g" % (fig.spec.describe(), fig.n_rand, fig.expected_mu)
         with open(base + ".svg", "w", encoding="utf-8") as fh:
             fh.write(hill_plot_svg(series, fig.expected_mu, title))

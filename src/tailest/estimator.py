@@ -503,7 +503,10 @@ def solve_iterative(sample: OrderedSample, window: TailWindow,
     Iteration stops once a step in delta is below 1e-10 relative to
     max(1, |delta|), or after ``max_iterations`` steps (at least 1).
     Non-convergence is reported via ``converged=False``, not an exception,
-    so callers can fall back to :func:`solve_direct`.
+    so callers can fall back to :func:`solve_direct`.  A window of k values
+    has y = excess / ln(R/L) in [1/k, 1 - 1/k]: its shifts ln(X_r/X_j) are 0
+    at the top and at most ln(R/L).  The steps fail only for y below about
+    7e-155; this divergence check and full_window_estimates' stay for any y.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")

@@ -11,7 +11,7 @@ estimate, the bounded-domain estimate after four fixed-point updates
 The figure scenarios produce full generalized Hill plots (estimate versus
 number of included order statistics) for densities whose classical plot is
 known to mislead.  Each report is a dict of its CSV columns keyed by the
-header names, and one row writer, ``_csv_rows``, writes them all.
+header names, and one writer, ``_csv_pieces``, writes them all piecewise.
 """
 
 from __future__ import annotations
@@ -168,23 +168,24 @@ _BLOCK_VALUES = 1 << 14
 
 
 def run_full_table(seeds: Sequence[int],
-                   rows: Sequence[int] = tuple(TABLE_ROWS)) -> dict[str, list]:
+                   rows: Sequence[int] = tuple(TABLE_ROWS)) -> dict[str, Sequence]:
     """The columns of ``table.csv`` for the given rows (default all 13) and seeds.
 
-    Each column is a list of Python ints or floats keyed by its header name
-    ("L" and "R" are the smallest and largest draw), with one entry per
-    cell, ordered by row, then seed, each in the order given.  Each seed's
-    generator is seeded once (:class:`SeedStreams`) and replayed for every
-    row.  Each row's grid is tabulated once, and its seeds are drawn in
+    Each column is keyed by its header name ("L" and "R" are the smallest
+    and largest draw), with one entry per cell, ordered by row, then seed,
+    each in the order given: sigma to mu_direct are float64 arrays, the
+    others lists of Python ints or floats (a seed may exceed 2^63).  Each
+    seed's generator is seeded once (:class:`SeedStreams`) and replayed for
+    every row.  Each row's grid is tabulated once, and its seeds are drawn in
     blocks of up to 2^14 values: :func:`draw_block` gives every seed the
     sample ``draw`` would, bit for bit.  :func:`full_window_estimates`
     reduces each block as it is drawn and then solves every cell of the
-    table at once.  No cell depends on the cells beside it: sigma, L, R,
-    mu_hill, mu_iter5 and mu_direct are bit-identical to the one-sample
-    estimators, whose roots the same Newton loop solves.  A cell those
-    estimators reject raises their EstimationError subclass, for the first
-    such cell by row, then seed, naming it as "table row R, seed S".
-    Unknown row ids raise TableRowError before any work is done.
+    table at once.  No cell depends on the cells beside it: those six
+    columns are bit-identical to the one-sample estimators, whose roots the
+    same Newton loop solves.  A cell those estimators reject raises their
+    EstimationError subclass, for the first such cell by row, then seed,
+    naming it as "table row R, seed S".  Unknown row ids raise
+    TableRowError before any work is done.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -196,10 +197,8 @@ def run_full_table(seeds: Sequence[int],
         return "table row %d, seed %d" % (
             entries[i // len(seeds)].row_id, seeds[i % len(seeds)])
 
-    low, high, sigma, mu_hill, mu_iter5, mu_direct = (
-        column.tolist()
-        for column in full_window_estimates(_draw_blocks(entries, streams), ITER5_MAX_ITERATIONS,
-                                            name=cell))
+    low, high, sigma, mu_hill, mu_iter5, mu_direct = full_window_estimates(
+        _draw_blocks(entries, streams), ITER5_MAX_ITERATIONS, name=cell)
     return {
         "row": [entry.row_id for entry in entries for _ in seeds],
         "seed": [seed for _ in entries for seed in seeds],
@@ -228,18 +227,16 @@ def run_figure(example_id: int, seed: int) -> HillPlotSeries:
     return hill_plot_series(draw(tabulate(fig.spec), fig.n_rand, seed), r=1)
 
 
-def summarize_table(table: dict[str, list]) -> dict[str, list]:
+def summarize_table(table: dict[str, Sequence]) -> dict[str, list]:
     """The columns of ``table_summary.csv``: one entry per row id, sorted,
     with the mean and standard deviation of each estimate over all the
-    cells of that id; a single cell gives its value and 0.0."""
-    cells: dict[int, list[int]] = {}
-    for i, row_id in enumerate(table["row"]):
-        cells.setdefault(row_id, []).append(i)
-    groups = [cells[row_id] for row_id in sorted(cells)]
-    summary = {"row": sorted(cells), "mu_input": [table["mu_input"][g[0]] for g in groups],
+    cells of that id (as Python floats); a single cell gives its value and 0.0."""
+    ids, row = sorted(set(table["row"])), np.asarray(table["row"])
+    groups = [np.flatnonzero(row == row_id) for row_id in ids]
+    summary = {"row": ids, "mu_input": [table["mu_input"][g[0]] for g in groups],
                "n_seeds": [len(g) for g in groups]}
     for name in ("mu_hill", "mu_iter5", "mu_direct"):
-        values = [[table[name][i] for i in g] for g in groups]
+        values = [np.asarray(table[name])[g].tolist() for g in groups]
         summary["mean_" + name] = [statistics.fmean(v) for v in values]
         summary["std_" + name] = [statistics.stdev(v) if len(v) > 1 else 0.0 for v in values]
     return summary
@@ -247,30 +244,43 @@ def summarize_table(table: dict[str, list]) -> dict[str, list]:
 
 # --------------------------------------------------------------------------
 # CSV emission.  Every report is a dict of its columns keyed by the header,
-# and _csv_rows is the one place a value becomes text.
+# and _csv_pieces is the one place a report becomes text.
+
+# Values per piece of report text: a whole text of 10^6 draws doubled simulate's peak.
+_PIECE = 1 << 16
 
 
 def _csv_rows(columns: Sequence[Sequence]) -> Iterator[str]:
     """One line (without its end) per entry of the equal-length columns: str()
     of each value, the shortest round-trip form of a float, and an empty
-    field for NaN.  Lines are formatted one at a time, as they are joined."""
+    field for NaN.  _csv_pieces passes it one piece of rows at a time."""
     line = ",".join(["%s"] * len(columns))
     columns = [["" if v != v else v for v in column] for column in columns]
     return (line % row for row in zip(*columns))
 
 
-def _csv(columns: dict[str, Sequence]) -> str:
-    """The text of a CSV report: the keys as the header, then the rows."""
-    return "\n".join([",".join(columns), *_csv_rows(list(columns.values()))]) + "\n"
+def _csv_pieces(report: dict[str, Sequence] | HillPlotSeries) -> Iterator[str]:
+    """A report's text in pieces: the header line, then _PIECE // (number of
+    columns) rows at a time (at least one), with each numpy column's piece
+    made Python numbers by .tolist()."""
+    if isinstance(report, HillPlotSeries):
+        report = {"l": report.l_values, "mu_hill": report.mu_hill,
+                  "mu_improved": report.mu_improved}
+    yield ",".join(report) + "\n"
+    columns = list(report.values())
+    rows = max(1, _PIECE // len(columns))
+    for start in range(0, len(columns[0]), rows):
+        piece = [column[start:start + rows] for column in columns]
+        lines = _csv_rows([p.tolist() if isinstance(p, np.ndarray) else p for p in piece])
+        yield "\n".join(lines) + "\n"
 
 
-def table_csv(table: dict[str, list]) -> str:
+def table_csv(table: dict[str, Sequence]) -> str:
     """``table.csv`` for the columns :func:`run_full_table` returns, or
     ``table_summary.csv`` for those :func:`summarize_table` returns."""
-    return _csv(table)
+    return "".join(_csv_pieces(table))
 
 
 def figure_csv(series: HillPlotSeries) -> str:
     """A plot CSV, ``l,mu_hill,mu_improved``; a blank entry is an empty field."""
-    return _csv({"l": series.l_values.tolist(), "mu_hill": series.mu_hill.tolist(),
-                 "mu_improved": series.mu_improved.tolist()})
+    return "".join(_csv_pieces(series))

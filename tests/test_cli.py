@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailest import _decimals, cli, experiments
+from tailest.estimator import OrderedSample, hill_plot_series
+from tailest.experiments import figure_csv, run_full_table, summarize_table, table_csv
 from tailest.sampler import DENSITIES, DistributionSpec, draw, tabulate
 
 E = math.e
@@ -798,6 +800,45 @@ class TestFigure:
             "error: unknown figure examples [1..13, 18..100000000] (valid: 14..17)\n")
         assert _run(["figure", "--seed", "-2", "--out", str(tmp_path)]) == 2
         assert "error: --seed must be >= 0" in capsys.readouterr().err
+
+
+class TestWritePieces:
+    """Every file the CLI writes has the same bytes whatever the piece size
+    of experiments._csv_pieces, and is the text the library returns."""
+
+    # blanks in both columns at l = 2, 3, 4 (r = 1), and in mu_improved at
+    # l = 3, 4, 5 (r = 2): at 2 rows a piece both straddle the first boundary
+    PLOTS = {"plot1.csv": ([4, 4, 4, 4, 2, 1], 1), "plot2.csv": ([5, 4, 4, 4, 4, 2, 1], 2)}
+    SIMULATE = SIMULATE_DIGESTS["power"][0].split() + ["--n", "1000", "--seed", "7"]
+
+    def _write_all(self, out, capsys):
+        """The bytes of every file written under out, and simulate's stdout."""
+        out.mkdir()
+        assert _run(["table", "--rows", "1-13", "--seeds", "1-3", "--out", str(out)]) == 0
+        table = run_full_table([1, 2, 3])
+        assert (out / "table.csv").read_text() == table_csv(table)
+        assert (out / "table_summary.csv").read_text() == table_csv(summarize_table(table))
+        for name, (values, r) in self.PLOTS.items():
+            data = out.parent / (name + ".txt")
+            data.write_text("".join("%d\n" % v for v in values))
+            assert _run(["estimate", str(data), "--r", str(r), "--plot", str(out / name)]) == 0
+            series = hill_plot_series(OrderedSample(np.array(values, dtype=float)), r)
+            assert (out / name).read_text() == figure_csv(series)
+        assert _run(["simulate", *self.SIMULATE, "--out", str(out / "simulate.txt")]) == 0
+        capsys.readouterr()
+        assert _run(["simulate", *self.SIMULATE]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert (out / "simulate.txt").read_bytes() == stdout
+        return {path.name: path.read_bytes() for path in out.iterdir()}, stdout
+
+    def test_files_identical_across_piece_boundaries(self, tmp_path, capsys, monkeypatch):
+        whole, stdout = self._write_all(tmp_path / "whole", capsys)
+        assert hashlib.sha256(stdout).hexdigest() == SIMULATE_DIGESTS["power"][1]
+        assert (whole["plot1.csv"].splitlines()[1:5]
+                == [b"2,,", b"3,,", b"4,,", b"5,2.8033688011112043,-5.926389783255148"])
+        # 6 values a piece: 1 table row, 2 plot rows, 6 simulate lines
+        monkeypatch.setattr(experiments, "_PIECE", 6)
+        assert self._write_all(tmp_path / "pieces", capsys) == (whole, stdout)
 
 
 class TestParsing:

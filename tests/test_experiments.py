@@ -242,7 +242,9 @@ class TestCsv:
                                         "mu_improved": series.mu_improved.tolist()}
         table = run_full_table([1, 2, 3], [13, 2, 13])  # row 13's mu is negative
         if name == "table":
-            return table_csv(table), table
+            # the runner's float columns are arrays: compare Python floats
+            return table_csv(table), {key: column.tolist() if isinstance(column, np.ndarray)
+                                      else column for key, column in table.items()}
         summary = summarize_table(table)
         return table_csv(summary), summary
 

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from tailest.estimator import (
     OrderedSample,
     TailWindow,
+    _MAX_STEPS,
     _SERIES_DELTA,
     _kernel_array,
+    _solve_windows,
     correction,
     correction_derivative,
     full_window,
@@ -279,6 +281,18 @@ def test_correction_bound_exchange_and_scaling(delta, ln_low, span, ln_c):
     tol = 1e-12 * (1.0 + abs(ln_low) + abs(ln_low + span) + abs(ln_c) + 1.0 / abs(alpha))
     assert correction(alpha, high, low) == pytest.approx(base, abs=tol)
     assert correction(alpha, c * low, c * high) == pytest.approx(base + ln_c, abs=tol)
+
+
+@KERNEL_SETTINGS
+@given(st.lists(st.floats(min_value=1e-12, max_value=1.0 - 1e-12), max_size=200))
+def test_unguarded_newton_from_hill_seed_converges(ys):
+    # solve_iterative's steps: unguarded Newton from delta = 1/y.  A window of
+    # k values has y in [1/k, 1 - 1/k], and from every y in [1e-12, 1 - 1e-12]
+    # they converge within 44 steps, so "iteration diverged" is not reached
+    y = np.array([1e-12, 1.0 - 1e-12, *ys])
+    alpha, converged, steps = _solve_windows(y, np.ones_like(y), _MAX_STEPS, seed=1.0 / y)
+    assert np.all(np.isfinite(alpha)) and np.all(converged)
+    assert steps.max() <= 44
 
 
 # --------------------------------------------------------------------------
