@@ -36,6 +36,7 @@ from .experiments import (
     FIGURE_EXAMPLES,
     FigureExampleError,
     TableRowError,
+    _PIECE,
     _csv_pieces,
     check_figure_examples,
     check_table_rows,
@@ -86,9 +87,12 @@ def _read_values(path: str, column: str | None) -> np.ndarray:
     The input is UTF-8 text, with or without a leading byte-order mark, and
     is read once from start to end without seeking, so a pipe such as
     /dev/stdin works.  Lines end at \\n, \\r\\n or \\r.  Lines starting with '#'
-    and blank lines are skipped in plain mode, empty cells in column mode.
+    and blank lines are skipped in plain mode.  In column mode the last
+    column the CSV header gives that name is read, and empty cells, as a
+    record too short to reach it gives, are skipped.
     Non-numeric and non-finite values abort with exit code 2, non-positive
-    values with exit code 3, each naming the offending line; input that is
+    values with exit code 3, each naming the offending line (in column mode
+    the line its record ends on, as for a malformed record); input that is
     not UTF-8 aborts with exit code 2.  Every value is float() of its line
     or cell, bit for bit: see _read_lines for how plain input gets there
     without a float() call per line.
@@ -99,15 +103,18 @@ def _read_values(path: str, column: str | None) -> np.ndarray:
                 values = _read_lines(path, fh)
         else:
             with open(path, "r", encoding="utf-8-sig") as fh:
-                reader = csv.DictReader(fh)
-                if reader.fieldnames is None or column not in reader.fieldnames:
-                    raise _CliError(2, "%s: no column named %r" % (path, column))
-                cells = ((reader.line_num, record[column] or "") for record in reader)
+                reader = csv.reader(fh)
                 try:
-                    values = _checked(path, cells, comments=False)
-                except csv.Error as exc:  # e.g. a cell above csv.field_size_limit()
-                    # DictReader.line_num lags on a failed record; its reader's does not
-                    raise _CliError(2, "%s:%d: %s" % (path, reader.reader.line_num, exc))
+                    index = {name: i for i, name in enumerate(next(reader, []))}.get(column)
+                    if index is None:
+                        raise _CliError(2, "%s: no column named %r" % (path, column))
+                    cells = ((reader.line_num, record[index] if index < len(record) else "")
+                             for record in reader)
+                    values = [_checked(path, *zip(*piece), comments=False)
+                              for piece in iter(lambda: list(itertools.islice(cells, _PIECE)), [])]
+                except csv.Error as exc:
+                    raise _CliError(2, "%s:%d: %s" % (path, reader.line_num, exc))
+                values = np.concatenate(values) if values else np.empty(0)
                 values = values[~np.isnan(values)]
     except UnicodeDecodeError:
         raise _CliError(2, "%s: not UTF-8 text" % path)
@@ -126,13 +133,13 @@ def _read_lines(path: str, fh) -> np.ndarray:
     result equal to float(line), bit for bit (see that module for the
     argument).  Only the lines it leaves unproven -- a sign, blank, space,
     '#', '_', non-ASCII digits, more than 19 digits, an exponent out of
-    range, or a value too near a rounding boundary -- are converted by
-    float(), all of a block's at once, and through _checked, which marks
-    blank and '#' lines to be dropped and reports every error, where that
-    fails.  After a block of mostly such lines, the next blocks skip the
-    kernel and convert every line so, but every 16th block tries the kernel
-    again.  Lines end at \\n, \\r\\n or \\r, as in text mode, and a block
-    that is not UTF-8 fails before any of its lines is reported.
+    range, or a value too near a rounding boundary -- go to _checked, all
+    of a block's in one call, which marks blank and '#' lines to be dropped
+    and exits on the first bad line.  After a block of mostly such lines,
+    the next blocks skip the kernel and hand every line to _checked, but
+    every 16th block tries the kernel again.  Lines end at \\n, \\r\\n or
+    \\r, as in text mode, and a block that is not UTF-8 fails before any
+    of its lines is reported.
 
     This thread reads the blocks _THREADS at a time.  It hands the kernel
     of each block of such a batch but the first to a worker thread, and runs
@@ -195,37 +202,17 @@ def _read_lines(path: str, fh) -> np.ndarray:
                     block.decode("utf-8")  # UnicodeDecodeError if it is not UTF-8
                 lines = len(values)
                 if unproven.size:
-                    values = _convert_unproven(path, block, first, values, unproven)
+                    texts = block.decode("utf-8").split("\n")[:-1]  # the block ends with one
+                    if unproven.size < lines:
+                        texts = [texts[i] for i in unproven.tolist()]
+                    values[unproven] = _checked(path, first + unproven, texts, comments=True)
+                    values = values[~np.isnan(values)]
                 blocks.append(values)
                 first += lines
     finally:
         if workers is not None:
             workers.shutdown()  # waits for a call still running, as after an error
     return np.concatenate(blocks) if blocks else np.empty(0)
-
-
-def _convert_unproven(path: str, block, first: int, values: np.ndarray,
-                      unproven: np.ndarray) -> np.ndarray:
-    """values with each unproven line of the block set to float() of its text,
-    and the blank and '#' lines left out; exits on the first bad line.
-
-    If float(text) succeeds it equals float(text.strip()), so where every
-    unproven line converts to a positive finite number in one call, the
-    result is what _checked would give.  Otherwise one _checked call
-    converts them, with NaN marking the blank and '#' lines, and the NaNs
-    are dropped.
-    """
-    texts = block.decode("utf-8").split("\n")[:-1]  # the block ends with a line end
-    if len(unproven) < len(texts):
-        texts = [texts[i] for i in unproven.tolist()]
-    try:
-        found = np.fromiter(map(float, texts), float, count=len(texts))
-    except ValueError:  # a blank, '#' or bad line
-        found = None
-    if found is None or not np.all((found > 0.0) & (found < math.inf)):
-        found = _checked(path, zip((first + unproven).tolist(), texts), comments=True)
-    values[unproven] = found
-    return values[~np.isnan(values)]
 
 
 def _line_blocks(fh):
@@ -248,12 +235,20 @@ def _line_blocks(fh):
         yield pending + b"\n"
 
 
-def _checked(path: str, cells, comments: bool) -> np.ndarray:
-    """The values of (line number, text) pairs as a float array, NaN for
-    blank text and, when comments is true, for '#' lines; exit on the first
-    text that is not a positive finite number."""
+def _checked(path: str, lines, texts: list[str], comments: bool) -> np.ndarray:
+    """float() of each text as a float array, NaN for blank text and, when
+    comments is true, for text starting with '#'; exit on the first text
+    that is not a positive finite number, naming its entry in lines.  Where
+    one float() call over all the texts gives only positive finite values,
+    that is the result: float() strips the text, and a blank or '#' fails."""
+    try:
+        values = np.fromiter(map(float, texts), float, count=len(texts))
+        if np.all((values > 0.0) & (values < math.inf)):
+            return values
+    except ValueError:  # a blank, '#' or bad text
+        pass
     values = []
-    for lineno, text in cells:
+    for lineno, text in zip(lines, texts):
         text = text.strip()
         if not text or (comments and text.startswith("#")):
             values.append(math.nan)

@@ -84,6 +84,10 @@ class TestEstimate:
         assert _run(["estimate", str(path), "--column", "value"]) == 2
         assert capsys.readouterr().err == (
             "error: %s:4: field larger than field limit (131072)\n" % path)
+        path.write_text("name,%s\na,1.5\nb,2.5\n" % ("v" * 200_000))  # in the header
+        assert _run(["estimate", str(path), "--column", "value"]) == 2
+        assert capsys.readouterr().err == (
+            "error: %s:1: field larger than field limit (131072)\n" % path)
 
     def test_csv_column(self, tmp_path, capsys):
         path = tmp_path / "data.csv"
@@ -186,6 +190,16 @@ def _values_past_first_block(n: int) -> str:
     return "".join("%.17g\n" % (1.0 + i * 1e-3) for i in range(n))
 
 
+def _column_past_first_piece() -> str:
+    """A CSV of 70,009 records, more than one piece of experiments._PIECE:
+    an empty cell on line 1,000, in the first piece, and 'banana' on line
+    70,002, in the second."""
+    lines = ["id,value"] + ["%d,%.17g" % (i, 1.0 + i * 1e-3) for i in range(1, 70_010)]
+    lines[999] = "999,"
+    lines[70_001] = "70001,banana"
+    return "\n".join(lines) + "\n"
+
+
 # Right-aligned lines, none of which the decimal kernel proves, so past the
 # first blocks the reader skips it for 15 of every 16 blocks: 34 blocks of
 # _PADDED_BLOCK_BYTES, and line 250,001 is in block 28.
@@ -200,8 +214,10 @@ OUT_3 = ("n 3  window l=3 r=1 (k=3)\nbounds L=1.5 R=3.5\nmean_log 0.8582\n"
 # (input text, --column or None, exit code, stdout, stderr with {path}),
 # pinned from the line-by-line reader that the block reader replaced; the
 # CRLF, lone-CR and line-separator cases from the block reader before the
-# decimal kernel.  The padded cases are pinned from the reader before
-# _convert_unproven made one _checked call per block.
+# decimal kernel.  The padded cases are pinned from the reader before the
+# unproven lines of a block went to float() in one call, and the column
+# cases from "column_named_twice" on from the csv.DictReader column reader,
+# before column cells went to _checked in pieces.
 PARITY = {
     "header_and_inner_blank": ("# observations\n1.5\n\n2.5\n  \n3.5\n", None, 0, OUT_3, ""),
     "trailing_blank_lines": ("1.5\n2.5\n3.5\n\n\n", None, 0, OUT_3, ""),
@@ -259,6 +275,31 @@ PARITY = {
                         "error: {path}:3: not a number: 'banana'\n"),
     "column_zero_cell": ("name,value\na,1.5\nb, 0 \nc,2.5\n", "value", 3, "",
                          "error: {path}:3: non-positive value '0'\n"),
+    "column_named_twice": ("value,name,value\n9,a,1.5\n9,b,2.5\n9,c,3.5\n", "value", 0,
+                           OUT_3, ""),
+    "column_bad_cell_in_record_over_lines": (
+        'name,value\n"a\nb",1.5\n"c\nd",banana\ne,2.5\n', "value", 2, "",
+        "error: {path}:5: not a number: 'banana'\n"),
+    "column_blank_records_before_bad_cell": ("name,value\na,1.5\n\n\nb,banana\n", "value", 2,
+                                             "", "error: {path}:5: not a number: 'banana'\n"),
+    "column_header_only": ("name,value\n", "value", 4, "",
+                           "error: {path}: need at least 2 observations, got 0\n"),
+    "column_blank_first_line": ("\nname,value\na,1.5\nb,2.5\n", "value", 2, "",
+                                "error: {path}: no column named 'value'\n"),
+    "column_empty_file": ("", "value", 2, "", "error: {path}: no column named 'value'\n"),
+    "column_unterminated_quote": ('name,value\na,1.5\nb,2.5\nc,"3.5\n', "value", 0, OUT_3, ""),
+    # the csv module reads a NUL byte as a character since Python 3.11
+    "column_nul": ("name,value\na,1.5\nb,2\x005\nc,3.5\n", "value", 2, "",
+                   "error: {path}:3: not a number: '2\\x005'\n" if sys.version_info >= (3, 11)
+                   else "error: {path}:3: line contains NUL\n"),
+    "column_lone_cr_quoted_cr": ('name,value\ra,1.5\r"b\rc",2.5\rd,3.5\r', "value", 0,
+                                 OUT_3, ""),
+    "column_quoted_padding": ('name,value\na," 1.5 "\nb,"\t2.5"\nc, "3.5"\n', "value", 2, "",
+                              "error: {path}:4: not a number: '\"3.5\"'\n"),
+    "column_short_and_long_records": ("name,value\na\nb,1.5\nc,2.5,x,y\nd,3.5\n", "value", 0,
+                                      OUT_3, ""),
+    "column_bad_cell_past_first_piece": (_column_past_first_piece(), "value", 2, "",
+                                         "error: {path}:70002: not a number: 'banana'\n"),
 }
 
 
@@ -308,6 +349,27 @@ def _readable(text: str) -> bool:
         return 0.0 < float(text) < math.inf
     except ValueError:
         return not text.strip() or text.strip().startswith("#")
+
+
+def _checked_per_text(path, lines, texts, comments):
+    """cli._checked's result, one text at a time: the float array, or the
+    exit code and message of the first bad text."""
+    values = []
+    for lineno, text in zip(lines, texts):
+        text = text.strip()
+        if not text or (comments and text.startswith("#")):
+            values.append(math.nan)
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            return 2, "%s:%d: not a number: %r" % (path, lineno, text)
+        if value <= 0.0:
+            return 3, "%s:%d: non-positive value %r" % (path, lineno, text)
+        if not value < math.inf:
+            return 2, "%s:%d: not a finite number: %r" % (path, lineno, text)
+        values.append(value)
+    return np.array(values, dtype=float)
 
 
 def _estimate(path, capsys, *flags):
@@ -446,6 +508,26 @@ class TestReader:
             values = cli._read_values(str(path), None)
         expected = [float(t) for t in lines if t.strip() and not t.strip().startswith("#")]
         assert values.tobytes() == np.array(expected).tobytes()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(texts=st.lists(_LINES | st.sampled_from(["nan", "-inf", "-2.5", "0", "banana"]),
+                          max_size=40))
+    def test_checked_matches_per_text_reference(self, texts):
+        # line numbers as the plain reader passes them (an array) and as the
+        # column reader does (a tuple)
+        for comments, lines in ((True, 7 + 3 * np.arange(len(texts))),
+                                (False, tuple(range(2, 2 + len(texts))))):
+            expected = _checked_per_text("f", lines, texts, comments)
+            try:
+                got = cli._checked("f", lines, texts, comments)
+            except cli._CliError as exc:
+                got = exc.code, exc.message
+            if isinstance(expected, tuple):
+                assert got == expected
+            else:
+                assert isinstance(got, np.ndarray) and got.dtype == np.float64
+                assert np.array_equal(np.isnan(got), np.isnan(expected))
+                assert got[~np.isnan(got)].tobytes() == expected[~np.isnan(expected)].tobytes()
 
     def test_rounding_proof_rejects_midpoints_and_powers_of_two(self):
         # s + t stands for w * 10**q up to 2**-100 * s; below a power of two

@@ -1,6 +1,8 @@
-"""Time the CLI commands the benchmark does not run, each in a fresh process.
+"""Time the CLI commands the benchmark does not run, each in a fresh process,
+and the benchmark's own workloads.
 
     python tools/bench_commands.py SRC [--base BASE_SRC] [--runs N] [--out FILE]
+        [--only [COMMAND ...]] [--workloads [WORKLOAD ...]]
 
 SRC (and BASE_SRC) is a directory holding the ``tailest`` package, such as
 a checkout's ``src``.  Each command runs as ``python -m tailest.cli`` in a
@@ -21,10 +23,24 @@ with the length of the source path (a heap-layout effect of about 10 MB was
 seen), so the two paths should have equal length; a warning says when they
 do not.  The outputs of the two checkouts are compared by sha256.
 
+With --workloads, each run also runs the named BENCHMARK.json workloads
+(all of them when none is named) after the commands, with the same
+alternation: ``python <this checkout>/perfbench/run.py --workload W --seed S
+--seconds <run_seconds> --trace 0``, with the working directory set to each
+checkout's root, the parent of its SRC, so that the one benchmark runs
+each checkout's sources.  Run i of every workload uses seed
+WORKLOAD_SEED + i on both sides.  The last JSON line of each run gives its
+end-to-end metrics and its attempted and failed command counts.  --only
+with no names runs no command.
+
 The JSON written to --out holds, per command and checkout, every run and
-the median and quartiles of wall time and peak, with each checkout's commit
-and path length and the machine: CPU model, CPU count, Python and numpy
-versions and PYTHONDONTWRITEBYTECODE.  Standard library and numpy only.
+the median and quartiles of wall time and peak; per workload and checkout,
+the same for each end-to-end metric, with attempted and failed; and per
+pair the ratios SRC / BASE_SRC, with the number of pairs in which SRC is
+the better (for a workload metric, by its direction in BENCHMARK.json).  It also holds
+each checkout's commit and path length and the machine: CPU model, CPU
+count, Python and numpy versions and PYTHONDONTWRITEBYTECODE.  Standard
+library and numpy only.
 """
 
 from __future__ import annotations
@@ -43,8 +59,13 @@ import time
 
 import numpy as np
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    BENCHMARK = json.load(_fh)
+
 N_VALUES = 1_000_000
 SEED = 20100723
+WORKLOAD_SEED = 2600
 
 # name -> argv after "python -m tailest.cli"; {plain}, {csv} and {out} are
 # the plain input, the CSV input and a fresh output path
@@ -123,6 +144,19 @@ def run_once(src: str, argv: list[str], inputs: dict[str, str], workdir: str) ->
     return result
 
 
+def run_workload(src: str, workload: str, seed: int) -> dict:
+    """One perfbench run of a workload on the checkout whose sources are at
+    src: the JSON object on the last line of its stdout."""
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
+        cwd=os.path.dirname(os.path.abspath(src)), capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit("perfbench exit %d on %s: %s" % (done.returncode, workload,
+                                                          done.stderr[-2000:]))
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def spread(values: list[float]) -> dict:
     """Median and quartiles, with every value."""
     q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
@@ -149,31 +183,52 @@ def cpu_model() -> str:
     return platform.processor()
 
 
+def paired(src_values: list[float], base_values: list[float], lower_is_better: bool) -> dict:
+    """The ratios src / base of each pair, and in how many of them src is the better."""
+    ratios = [a / b for a, b in zip(src_values, base_values)]
+    better = sum(r < 1.0 if lower_is_better else r > 1.0 for r in ratios)
+    return dict(spread(ratios), src_better=better, pairs=len(ratios))
+
+
 def main(argv=None) -> int:
+    workloads = [w["name"] for w in BENCHMARK["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("src", help="directory holding the tailest package")
     parser.add_argument("--base", help="a second such directory, run in alternating pairs")
     parser.add_argument("--runs", type=int, default=5, help="runs (pairs) per command")
-    parser.add_argument("--only", nargs="+", choices=list(COMMANDS), help="commands to run")
+    parser.add_argument("--only", nargs="*", choices=list(COMMANDS), help="commands to run")
+    parser.add_argument("--workloads", nargs="*", choices=workloads,
+                        help="also run these benchmark workloads (all when none is named)")
     parser.add_argument("--out", help="write the JSON record here")
     args = parser.parse_args(argv)
     checkouts = {"src": args.src} if args.base is None else {"base": args.base, "src": args.src}
     if args.base is not None and len(os.path.abspath(args.base)) != len(os.path.abspath(args.src)):
         print("warning: the source paths differ in length; a fresh process's peak moves "
               "with it", file=sys.stderr)
-    names = args.only or list(COMMANDS)
+    names = list(COMMANDS) if args.only is None else args.only
+    chosen = [] if args.workloads is None else args.workloads or workloads
     results = {name: {label: [] for label in checkouts} for name in names}
+    runs = {name: {label: [] for label in checkouts} for name in chosen}
     with tempfile.TemporaryDirectory() as workdir:
-        inputs = write_inputs(workdir)
+        inputs = write_inputs(workdir) if names else None
         for run in range(args.runs):
+            order = list(checkouts) if run % 2 == 0 else list(reversed(checkouts))
             for name in names:
-                order = list(checkouts) if run % 2 == 0 else list(reversed(checkouts))
                 for label in order:
                     record = run_once(checkouts[label], COMMANDS[name], inputs, workdir)
                     results[name][label].append(record)
                     print("%-20s %-4s run %d: %.3f s, %.1f MB" % (
                         name, label, run + 1, record["wall_s"], record["peak_mb"]),
                         file=sys.stderr)
+            for name in chosen:
+                for label in order:
+                    record = run_workload(checkouts[label], name, WORKLOAD_SEED + run)
+                    runs[name][label].append(record)
+                    print("%-20s %-4s run %d: %s, %d of %d failed" % (
+                        name, label, run + 1, ", ".join(
+                            "%s %.4g" % (metric, value["value"])
+                            for metric, value in record["metrics"].items()),
+                        record["failed"], record["attempted"]), file=sys.stderr)
     commands = {}
     for name in names:
         entry = {"argv": COMMANDS[name]}
@@ -184,10 +239,24 @@ def main(argv=None) -> int:
             pairs = list(zip(results[name]["src"], results[name]["base"]))
             entry["identical_output"] = all(a["sha256"] == b["sha256"] for a, b in pairs)
             for metric in ("wall_s", "peak_mb"):
-                ratios = [a[metric] / b[metric] for a, b in pairs]
-                entry["ratio_" + metric] = dict(spread(ratios), below_1=sum(
-                    r < 1.0 for r in ratios), pairs=len(ratios))
+                entry["ratio_" + metric] = paired(
+                    [a[metric] for a, _ in pairs], [b[metric] for _, b in pairs], True)
         commands[name] = entry
+    benchmark = {}
+    for name in chosen:
+        entry = {"seeds": [WORKLOAD_SEED + run for run in range(args.runs)]}
+        for label, records in runs[name].items():
+            entry[label] = {"attempted": [r["attempted"] for r in records],
+                            "failed": [r["failed"] for r in records]}
+            for metric in BENCHMARK["end_to_end"]:
+                entry[label][metric["name"]] = spread(
+                    [r["metrics"][metric["name"]]["value"] for r in records])
+        if args.base is not None:
+            for metric in BENCHMARK["end_to_end"]:
+                entry["ratio_" + metric["name"]] = paired(
+                    entry["src"][metric["name"]]["all"], entry["base"][metric["name"]]["all"],
+                    metric["better"] == "lower")
+        benchmark[name] = entry
     record = {
         "what": "fresh-process wall time and peak RSS (os.wait4 ru_maxrss) per CLI command",
         "input": {"values": N_VALUES, "seed": SEED, "density": "x^-1.5 on [1, 1e4], shuffled"},
@@ -199,6 +268,10 @@ def main(argv=None) -> int:
                     "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "commands": commands,
     }
+    if chosen:
+        record["benchmark"] = {
+            "what": "perfbench/run.py end-to-end metrics, --seconds %d --trace 0"
+            % BENCHMARK["run_seconds"], "workloads": benchmark}
     text = json.dumps(record, indent=1) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
