@@ -1,5 +1,4 @@
-"""Time the CLI commands the benchmark does not run, each in a fresh process,
-and the benchmark's own workloads.
+"""Time the CLI commands the benchmark does not run, and its workloads.
 
     python tools/bench_commands.py SRC [--base BASE_SRC] [--runs N] [--out FILE]
         [--only [COMMAND ...]] [--workloads [WORKLOAD ...]]
@@ -37,10 +36,10 @@ The JSON written to --out holds, per command and checkout, every run and
 the median and quartiles of wall time and peak; per workload and checkout,
 the same for each end-to-end metric, with attempted and failed; and per
 pair the ratios SRC / BASE_SRC, with the number of pairs in which SRC is
-the better (for a workload metric, by its direction in BENCHMARK.json).  It also holds
-each checkout's commit and path length and the machine: CPU model, CPU
-count, Python and numpy versions and PYTHONDONTWRITEBYTECODE.  Standard
-library and numpy only.
+the better (for a workload metric, by its direction in BENCHMARK.json).
+It also holds each checkout's commit and path length and the machine: CPU
+model, CPU count, Python and numpy versions and PYTHONDONTWRITEBYTECODE.
+Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -59,9 +58,7 @@ import time
 
 import numpy as np
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
-    BENCHMARK = json.load(_fh)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))  # this checkout
 
 N_VALUES = 1_000_000
 SEED = 20100723
@@ -144,12 +141,12 @@ def run_once(src: str, argv: list[str], inputs: dict[str, str], workdir: str) ->
     return result
 
 
-def run_workload(src: str, workload: str, seed: int) -> dict:
+def run_workload(src: str, workload: str, seed: int, seconds: int) -> dict:
     """One perfbench run of a workload on the checkout whose sources are at
     src: the JSON object on the last line of its stdout."""
     done = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=os.path.dirname(os.path.abspath(src)), capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit("perfbench exit %d on %s: %s" % (done.returncode, workload,
@@ -191,7 +188,9 @@ def paired(src_values: list[float], base_values: list[float], lower_is_better: b
 
 
 def main(argv=None) -> int:
-    workloads = [w["name"] for w in BENCHMARK["workloads"]]
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark_spec = json.load(fh)
+    workloads = [w["name"] for w in benchmark_spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("src", help="directory holding the tailest package")
     parser.add_argument("--base", help="a second such directory, run in alternating pairs")
@@ -208,7 +207,7 @@ def main(argv=None) -> int:
     names = list(COMMANDS) if args.only is None else args.only
     chosen = [] if args.workloads is None else args.workloads or workloads
     results = {name: {label: [] for label in checkouts} for name in names}
-    runs = {name: {label: [] for label in checkouts} for name in chosen}
+    workload_results = {name: {label: [] for label in checkouts} for name in chosen}
     with tempfile.TemporaryDirectory() as workdir:
         inputs = write_inputs(workdir) if names else None
         for run in range(args.runs):
@@ -222,8 +221,9 @@ def main(argv=None) -> int:
                         file=sys.stderr)
             for name in chosen:
                 for label in order:
-                    record = run_workload(checkouts[label], name, WORKLOAD_SEED + run)
-                    runs[name][label].append(record)
+                    record = run_workload(checkouts[label], name, WORKLOAD_SEED + run,
+                                          benchmark_spec["run_seconds"])
+                    workload_results[name][label].append(record)
                     print("%-20s %-4s run %d: %s, %d of %d failed" % (
                         name, label, run + 1, ", ".join(
                             "%s %.4g" % (metric, value["value"])
@@ -245,14 +245,14 @@ def main(argv=None) -> int:
     benchmark = {}
     for name in chosen:
         entry = {"seeds": [WORKLOAD_SEED + run for run in range(args.runs)]}
-        for label, records in runs[name].items():
+        for label, records in workload_results[name].items():
             entry[label] = {"attempted": [r["attempted"] for r in records],
                             "failed": [r["failed"] for r in records]}
-            for metric in BENCHMARK["end_to_end"]:
+            for metric in benchmark_spec["end_to_end"]:
                 entry[label][metric["name"]] = spread(
                     [r["metrics"][metric["name"]]["value"] for r in records])
         if args.base is not None:
-            for metric in BENCHMARK["end_to_end"]:
+            for metric in benchmark_spec["end_to_end"]:
                 entry["ratio_" + metric["name"]] = paired(
                     entry["src"][metric["name"]]["all"], entry["base"][metric["name"]]["all"],
                     metric["better"] == "lower")
@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     if chosen:
         record["benchmark"] = {
             "what": "perfbench/run.py end-to-end metrics, --seconds %d --trace 0"
-            % BENCHMARK["run_seconds"], "workloads": benchmark}
+            % benchmark_spec["run_seconds"], "workloads": benchmark}
     text = json.dumps(record, indent=1) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
