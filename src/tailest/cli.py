@@ -326,10 +326,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     # a window needs 1 <= r < l; only l or r beyond the sample depends on the data
     if args.l is not None:
         _at_least(args.l, 2, "--l")
-    if args.r is not None:
-        _at_least(args.r, 1, "--r")
-        if args.l is not None and args.r >= args.l:
-            raise _CliError(2, "--r %d must be below --l %d" % (args.r, args.l))
+    _at_least(args.r, 1, "--r")
+    if args.l is not None and args.r >= args.l:
+        raise _CliError(2, "--r %d must be below --l %d" % (args.r, args.l))
     values = _read_values(args.file, args.column)
     if args.xmin is not None:
         values = values[values >= args.xmin]
@@ -340,11 +339,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     sample = OrderedSample(values)
 
     n = len(sample)
-    if args.l is None and args.r is not None and args.r >= n:
+    if args.l is None and args.r >= n:
         raise WindowError("--r %d must be below the sample size %d" % (args.r, n))
-    l = args.l if args.l is not None else n
-    r = args.r if args.r is not None else 1
-    window = TailWindow(l=l, r=r)
+    window = TailWindow(l=n if args.l is None else args.l, r=args.r)
     if window.l > n:
         raise WindowError("window l=%d exceeds sample size %d" % (window.l, n))
     hill = hill_estimate(sample, window.l)
@@ -479,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--xmin", type=float, help="drop observations below this value")
     p_est.add_argument("--xmax", type=float, help="drop observations above this value")
     p_est.add_argument("--l", type=int, help="1-based index of the smallest window point")
-    p_est.add_argument("--r", type=int, help="1-based index of the largest window point")
+    p_est.add_argument("--r", type=int, default=1, help="1-based index of the largest window point")
     p_est.add_argument("--plot", metavar="OUT.csv", help="write the full per-l series")
     p_est.set_defaults(func=cmd_estimate)
 

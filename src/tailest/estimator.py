@@ -141,12 +141,6 @@ def full_window(sample: OrderedSample) -> TailWindow:
     return TailWindow(l=len(sample), r=1)
 
 
-def _check_window(sample: OrderedSample, window: TailWindow) -> None:
-    if window.l > len(sample):
-        raise WindowError(
-            "window l=%d exceeds sample length %d" % (window.l, len(sample)))
-
-
 # Solver settings.  Both solvers work in delta = alpha * ln(R/L) and measure
 # residuals of the mean-log equation in units of ln(R/L), so every setting is
 # scale-free: the same values serve a domain [3, 3.000001] and a domain
@@ -176,6 +170,12 @@ class EstimateResult:
     window_high: float  # X_r, largest included observation
     k: int  # window size; 0 for a bare solve_direct on explicit bounds
     mean_log: float
+
+
+def _result(alpha, method, iterations, converged, low, high, k, mean_log) -> EstimateResult:
+    """Every EstimateResult, with mu = alpha + 1 and Python scalars."""
+    return EstimateResult(float(alpha), float(alpha) + 1.0, method, int(iterations),
+                          bool(converged), low, high, k, mean_log)
 
 
 @dataclass
@@ -232,7 +232,8 @@ def _window_logs(values: np.ndarray, logs: np.ndarray,
 
 def _window_bounds(sample: OrderedSample, window: TailWindow):
     """X_l, X_r, ln(X_r/X_l), mean_log - ln X_l and the mean log of a window."""
-    _check_window(sample, window)
+    if window.l > len(sample):
+        raise WindowError("window l=%d exceeds sample length %d" % (window.l, len(sample)))
     rows = slice(window.r - 1, window.l)
     span, excess = map(float, _window_logs(sample.values[rows], sample.log_values[rows]))
     return (float(sample.values[window.l - 1]), float(sample.values[window.r - 1]), span,
@@ -262,18 +263,7 @@ def hill_estimate(sample: OrderedSample, k: int) -> EstimateResult:
         raise DegenerateSampleError(
             "top-%d observations: Hill excess mean log - ln X_%d = %r is not positive"
             % (k, k, h))
-    alpha = 1.0 / h
-    return EstimateResult(
-        alpha=alpha,
-        mu=alpha + 1.0,
-        method="hill",
-        iterations=0,
-        converged=True,
-        window_low=low,
-        window_high=high,
-        k=k,
-        mean_log=m,
-    )
+    return _result(1.0 / h, "hill", 0, True, low, high, k, m)
 
 
 # --------------------------------------------------------------------------
@@ -375,7 +365,8 @@ def gfun(alpha: float, L: float, R: float) -> float:
 # ln L) / ln(R/L) in (0, 1), i.e. G(alpha) = mean_log, by Newton steps in
 # delta.  One vectorized loop, _solve_windows, takes those steps for one
 # window, for every sample of the table and for every window of the plot
-# sweep, so the three cannot drift apart.
+# sweep, so the three cannot drift apart.  Its guarded solve also decides
+# whether a root exists, and gives each caller alpha NaN where none does.
 
 
 def _has_root(y: np.ndarray) -> np.ndarray:
@@ -391,21 +382,23 @@ def _solve_windows(y: np.ndarray, span: np.ndarray, max_iterations: int,
     converged mask and the Newton steps taken by each entry.
 
     Without a seed the steps are safeguarded: from 1/y - 1/(1-y), inside a
-    bracket that starts at |delta| <= _BRACKET_LIMIT, so every entry must
-    pass :func:`_has_root`; a step leaving the bracket becomes a bisection.
-    Given a seed (the starting deltas) they are unguarded, and an entry
-    stops at the first step whose iterate is non-finite, with a non-finite
-    alpha.  Each entry also stops once a step in delta is at most
-    _STEP_TOLERANCE relative to max(1, |delta|), and is converged if its
-    residual, in units of ln(R/L), was at most _RESIDUAL_TOLERANCE at the
-    iterate that step was taken from.  One still going after
-    ``max_iterations`` steps keeps its last iterate, unconverged.
+    bracket that starts at |delta| <= _BRACKET_LIMIT; a step leaving the
+    bracket becomes a bisection.  An entry that fails :func:`_has_root` is
+    not iterated: it returns alpha NaN, unconverged, after 0 steps.  Given a
+    seed (the starting deltas) every entry takes unguarded steps, and stops
+    at the first step whose iterate is non-finite, with a non-finite alpha.
+    Each entry also stops once a step in delta is at most _STEP_TOLERANCE
+    relative to max(1, |delta|), and is converged if its residual, in units
+    of ln(R/L), was at most _RESIDUAL_TOLERANCE at the iterate that step was
+    taken from.  One still going after ``max_iterations`` steps keeps its
+    last iterate, unconverged.
     """
     guarded = seed is None
-    alpha = np.empty(y.size)
+    alpha = np.full(y.size, np.nan)
     converged = np.zeros(y.size, dtype=bool)
-    steps = np.full(y.size, max_iterations)
-    todo = np.arange(y.size)
+    steps = np.zeros(y.size, dtype=int)
+    todo = np.flatnonzero(_has_root(y)) if guarded else np.arange(y.size)
+    y = y[todo]
     lo = np.full(y.size, -_BRACKET_LIMIT)
     hi = np.full(y.size, _BRACKET_LIMIT)
     with np.errstate(all="ignore"):  # non-finite iterates are handled below
@@ -432,7 +425,7 @@ def _solve_windows(y: np.ndarray, span: np.ndarray, max_iterations: int,
             steps[ended] = count
             left = ~stop
             todo, y, delta, lo, hi = todo[left], y[left], delta[left], lo[left], hi[left]
-        alpha[todo] = delta / span[todo]
+        alpha[todo], steps[todo] = delta / span[todo], max_iterations
     return alpha, converged, steps
 
 
@@ -443,21 +436,10 @@ def _solve_bounded(mean_log: float, L: float, R: float, excess: float, span: flo
     if not 0.0 < excess < span:
         raise DegenerateSampleError(
             "mean log %r outside (ln L, ln R) for L=%r R=%r" % (mean_log, L, R))
-    y = excess / span
-    if not _has_root(np.array([y]))[0]:
+    alpha, converged, _ = _solve_windows(np.array([excess / span]), np.array([span]), _MAX_STEPS)
+    if np.isnan(alpha[0]):
         raise SolverFailureError("no root within |alpha * ln(R/L)| <= %g" % _BRACKET_LIMIT)
-    alpha, converged, _ = _solve_windows(np.array([y]), np.array([span]), _MAX_STEPS)
-    return EstimateResult(
-        alpha=float(alpha[0]),
-        mu=float(alpha[0]) + 1.0,
-        method="improved-direct",
-        iterations=0,
-        converged=bool(converged[0]),
-        window_low=L,
-        window_high=R,
-        k=k,
-        mean_log=mean_log,
-    )
+    return _result(alpha[0], "improved-direct", 0, converged[0], L, R, k, mean_log)
 
 
 def solve_direct(mean_log: float, L: float, R: float) -> EstimateResult:
@@ -517,17 +499,7 @@ def solve_iterative(sample: OrderedSample, window: TailWindow,
     alpha, converged, steps = _solve_windows(y, np.array([span]), max_iterations, seed=1.0 / y)
     if not np.isfinite(alpha[0]):
         raise SolverFailureError("iteration diverged at step %d" % steps[0])
-    return EstimateResult(
-        alpha=float(alpha[0]),
-        mu=float(alpha[0]) + 1.0,
-        method="improved-iterative",
-        iterations=int(steps[0]),
-        converged=bool(converged[0]),
-        window_low=low,
-        window_high=high,
-        k=window.k,
-        mean_log=m,
-    )
+    return _result(alpha[0], "improved-iterative", steps[0], converged[0], low, high, window.k, m)
 
 
 # --------------------------------------------------------------------------
@@ -577,8 +549,8 @@ def full_window_estimates(blocks: Iterable[np.ndarray], max_iterations: int = _M
     with np.errstate(divide="ignore", invalid="ignore"):
         y = excess / span
         mu_hill = 1.0 / excess + 1.0
-        hill_seed = 1.0 / y
-    alpha_iterative, _, _ = _solve_windows(y, span, max_iterations, seed=hill_seed)
+        alpha_iterative, _, _ = _solve_windows(y, span, max_iterations, seed=1.0 / y)
+    alpha_direct, _, _ = _solve_windows(y, span, _MAX_STEPS)
     # checks in the order the one-sample path meets them: a non-finite or
     # non-positive value leaves a non-finite excess, and a positive excess
     # leaves y in (0, 1)
@@ -587,7 +559,7 @@ def full_window_estimates(blocks: Iterable[np.ndarray], max_iterations: int = _M
          "sample contains non-finite or non-positive values"),
         (excess <= 0.0, DegenerateSampleError, "Hill excess is not positive"),
         (~np.isfinite(alpha_iterative), SolverFailureError, "iteration diverged"),
-        (~_has_root(y), SolverFailureError,
+        (np.isnan(alpha_direct), SolverFailureError,
          "no root within |alpha * ln(R/L)| <= %g" % _BRACKET_LIMIT),
     )
     bad = np.logical_or.reduce([mask for mask, _, _ in failures])
@@ -597,7 +569,6 @@ def full_window_estimates(blocks: Iterable[np.ndarray], max_iterations: int = _M
                               if mask[row])
         label = name(row) if name else "sample %d of %d" % (row + 1, bad.size)
         raise error("%s: %s" % (label, message))
-    alpha_direct, _, _ = _solve_windows(y, span, _MAX_STEPS)
     return low, high, mean, mu_hill, alpha_iterative + 1.0, alpha_direct + 1.0
 
 
@@ -628,11 +599,8 @@ def hill_plot_series(sample: OrderedSample, r: int) -> HillPlotSeries:
     with np.errstate(divide="ignore"):
         mu_hill = np.where(hill_excess <= 0.0, np.nan, 1.0 / hill_excess + 1.0)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = excess / span
-    todo = np.flatnonzero(_has_root(y))  # NaN where X_l == X_r
-    alpha, converged, _ = _solve_windows(y[todo], span[todo], _MAX_STEPS)
-    mu_improved = np.full(span.size, np.nan)
-    mu_improved[todo[converged]] = alpha[converged] + 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # y is NaN where X_l == X_r
+        alpha, converged, _ = _solve_windows(excess / span, span, _MAX_STEPS)
+    mu_improved = np.where(converged, alpha + 1.0, np.nan)
 
     return HillPlotSeries(np.arange(r + 1, n + 1, dtype=np.int64), mu_hill, mu_improved)

@@ -160,6 +160,18 @@ class TestEstimate:
             assert _estimate(path, capsys, "--r", r) == (
                 4, "", "error: --r %s must be below the sample size 1000\n" % r)
 
+    def test_root_past_the_bracket_exits_4(self, tmp_path, capsys):
+        # one 10 above 20,000 ones: the window (l, 1) has y = 1/l, whose root
+        # lies beyond |alpha * ln(R/L)| = 1e4 from l = 10,000 on
+        path = tmp_path / "data.txt"
+        path.write_text("10.0\n" + "1.0\n" * 20_000)
+        error = "error: no root within |alpha * ln(R/L)| <= 10000\n"
+        assert _estimate(path, capsys) == (4, "", error)
+        assert _estimate(path, capsys, "--l", "10000") == (4, "", error)
+        code, out, err = _estimate(path, capsys, "--l", "9999")
+        assert (code, err) == (0, "")
+        assert out.endswith(" iterations=1 converged=yes\n")
+
     def test_plot_output(self, tmp_path, capsys):
         path = tmp_path / "data.txt"
         path.write_text("".join("%r\n" % (1.0 + 0.37 * v) for v in range(30)))

@@ -373,6 +373,25 @@ class TestSolveDirect:
         with pytest.raises(SolverFailureError):
             solve_direct(m, low, high)
 
+    def test_guarded_solve_leaves_rootless_entries_unsolved(self):
+        # 0, 1, NaN and a y just below g(1e4), whose root lies past the
+        # bracket, are never iterated; the other entries are solved as if
+        # alone, and a seeded solve iterates every entry
+        g_limit = estimator._kernel_array(np.array([estimator._BRACKET_LIMIT]))[0][0]
+        y = np.array([0.3, 0.0, 0.5, 1.0, math.nan, g_limit, math.nextafter(g_limit, 0.0), 0.9])
+        rootless = np.isin(np.arange(y.size), [1, 3, 4, 6])
+        span = np.linspace(0.5, 4.0, y.size)
+        alpha, converged, steps = estimator._solve_windows(y, span, estimator._MAX_STEPS)
+        assert np.isnan(alpha[rootless]).all()
+        assert not converged[rootless].any() and not steps[rootless].any()
+        alone = estimator._solve_windows(y[~rootless], span[~rootless], estimator._MAX_STEPS)
+        for got, want in zip((alpha, converged, steps), alone):
+            assert np.array_equal(got[~rootless], want)
+        assert converged[~rootless].all()
+        with np.errstate(divide="ignore"):
+            seed = 1.0 / y
+        assert estimator._solve_windows(y, span, estimator._MAX_STEPS, seed=seed)[2].all()
+
     def test_residual_small(self):
         low, high = 2.0, 40.0
         m = gfun(-1.25, low, high)
@@ -561,6 +580,14 @@ class TestHillPlotSeries:
     def test_wide_domain_has_no_blank_entries(self):
         series = hill_plot_series(_log_uniform(400, 1), r=1)
         assert not np.isnan(series.mu_improved).any()
+
+    def test_blank_exactly_where_the_root_leaves_the_bracket(self):
+        # one 10 above 20,000 ones: the window (l, 1) has y = 1/l, and the
+        # root of g(delta) = 1/l passes |delta| = 1e4 (g(1e4) = 1e-4) at l = 10,000
+        series = hill_plot_series(OrderedSample([10.0] + [1.0] * 20_000), r=1)
+        blank = np.isnan(series.mu_improved)
+        assert np.array_equal(blank, series.l_values >= 10_000)
+        assert np.isfinite(series.mu_improved[~blank]).all()
 
     def test_degenerate_entries_absent(self):
         # leading ties make the first windows degenerate, not fatal
