@@ -507,7 +507,8 @@ def solve_iterative(sample: OrderedSample, window: TailWindow,
 
 
 def full_window_estimates(blocks: Iterable[np.ndarray], max_iterations: int = _MAX_STEPS,
-                          name: Callable[[int], str] | None = None) -> tuple[np.ndarray, ...]:
+                          name: Callable[[int], str] | None = None, *,
+                          order: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Full-window estimates of many samples, solved all at once.
 
     Each block is a 2-D array whose rows are samples in descending order,
@@ -524,7 +525,10 @@ def full_window_estimates(blocks: Iterable[np.ndarray], max_iterations: int = _M
     one-sample functions reject raises the same EstimationError subclass,
     for the first such sample and, within it, the first check they would
     fail; its message names the sample as ``name(i)`` for the i-th sample
-    (from 0), by default "sample i+1 of N".
+    (from 0), by default "sample i+1 of N".  With ``order``, an integer
+    array holding each of 0..N-1 once, the i-th sample is the ``order[i]``-th
+    row read from the blocks, so a caller can read samples in any order and
+    have them returned, checked and named in its own.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -546,6 +550,10 @@ def full_window_estimates(blocks: Iterable[np.ndarray], max_iterations: int = _M
     if not columns[0]:
         raise DegenerateSampleError("need at least one block of samples")
     low, high, span, excess, mean = map(np.concatenate, columns)
+    if order is not None:
+        if order.shape != low.shape:
+            raise ValueError("order has %d entries for %d samples" % (order.size, low.size))
+        low, high, span, excess, mean = (c[order] for c in (low, high, span, excess, mean))
     with np.errstate(divide="ignore", invalid="ignore"):
         y = excess / span
         mu_hill = 1.0 / excess + 1.0

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import HillPlotSeries, full_window_estimates, hill_plot_series
-from .sampler import DistributionSpec, SeedStreams, draw, draw_block, tabulate
+from .sampler import DistributionSpec, SeedStreams, _draw_grids, draw, tabulate
 
 __all__ = [
     "TABLE_ROWS",
@@ -166,6 +166,13 @@ def check_figure_examples(ids: Iterable[int | range]) -> None:
 # were no faster, since the solves run once over the whole table.
 _BLOCK_VALUES = 1 << 14
 
+# Grids that share one fill and sort of each seed block's uniforms.  Each
+# grid alive costs about 384 KB.  run_full_table over 100 seeds, all 13
+# rows, took 0.085 s with 1 grid a pass, 0.064-0.069 s with 3 for 0.9 MB
+# more peak, no less with 4 for 1.2 MB, and 0.062-0.065 s with all 10 rows
+# of 1000 draws for 3.5 MB (in process, 2-core Xeon).
+_SHARED_GRIDS = 3
+
 
 def run_full_table(seeds: Sequence[int],
                    rows: Sequence[int] = tuple(TABLE_ROWS)) -> dict[str, Sequence]:
@@ -176,29 +183,36 @@ def run_full_table(seeds: Sequence[int],
     each in the order given: sigma to mu_direct are float64 arrays, the
     others lists of Python ints or floats (a seed may exceed 2^63).  Each
     seed's generator is seeded once (:class:`SeedStreams`) and replayed for
-    every row.  Each row's grid is tabulated once, and its seeds are drawn in
-    blocks of up to 2^14 values: :func:`draw_block` gives every seed the
-    sample ``draw`` would, bit for bit.  :func:`full_window_estimates`
-    reduces each block as it is drawn and then solves every cell of the
-    table at once.  No cell depends on the cells beside it: those six
-    columns are bit-identical to the one-sample estimators, whose roots the
-    same Newton loop solves.  A cell those estimators reject raises their
-    EstimationError subclass, for the first such cell by row, then seed,
-    naming it as "table row R, seed S".  Unknown row ids raise
-    TableRowError before any work is done.
+    every row.  Seed s gives the same uniforms to every row that draws the
+    same number of values, so the rows are drawn in passes of up to three
+    rows with the same n (10 of the 13 rows draw 1000, 3 draw 5000): each
+    pass tabulates its rows' grids once, and fills and sorts each block of
+    up to 2^14 uniforms once, then maps it through every grid of the pass,
+    which gives every seed the sample ``draw`` would, bit for bit.  At
+    most three grids are alive at once; on all 13 rows this took ``table
+    --seeds 1-2000`` from 2.6-3.2 to 1.9-2.4 s for 1.6 MB more peak memory
+    (2-core Xeon).  :func:`full_window_estimates` reduces each block as it
+    is drawn, puts the cells back in order by row, then seed, and then
+    solves every cell of the table at once.  No cell depends on the cells
+    beside it: those six columns are bit-identical to the one-sample
+    estimators, whose roots the same Newton loop solves.  A cell those
+    estimators reject raises their EstimationError subclass, for the first
+    such cell by row, then seed, naming it as "table row R, seed S".
+    Unknown row ids raise TableRowError before any work is done.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     check_table_rows(rows)
     entries = [TABLE_ROWS[row_id] for row_id in rows]
-    streams = SeedStreams(seeds)
+    passes = _draw_passes(entries)
 
     def cell(i: int) -> str:
         return "table row %d, seed %d" % (
             entries[i // len(seeds)].row_id, seeds[i % len(seeds)])
 
     low, high, sigma, mu_hill, mu_iter5, mu_direct = full_window_estimates(
-        _draw_blocks(entries, streams), ITER5_MAX_ITERATIONS, name=cell)
+        _draw_blocks(entries, passes, SeedStreams(seeds)), ITER5_MAX_ITERATIONS,
+        name=cell, order=_read_order(entries, passes, len(seeds)))
     return {
         "row": [entry.row_id for entry in entries for _ in seeds],
         "seed": [seed for _ in entries for seed in seeds],
@@ -208,14 +222,51 @@ def run_full_table(seeds: Sequence[int],
     }
 
 
-def _draw_blocks(entries: Sequence[TableRowSpec], streams: SeedStreams) -> Iterator[np.ndarray]:
-    """Every entry's samples for the seeds, in order, in blocks of at most
-    _BLOCK_VALUES draws (or one seed); each entry's grid is tabulated once."""
-    for entry in entries:
-        dist = tabulate(entry.spec)
-        per_block = max(1, _BLOCK_VALUES // entry.n_rand)
-        for start in range(0, len(streams), per_block):
-            yield draw_block(dist, entry.n_rand, streams[start:start + per_block])
+def _draw_passes(entries: Sequence[TableRowSpec]) -> list[list[int]]:
+    """The indices of the entries, grouped by n_rand in the order the entries
+    are given and cut into passes of at most _SHARED_GRIDS."""
+    groups: dict[int, list[int]] = {}
+    for i, entry in enumerate(entries):
+        groups.setdefault(entry.n_rand, []).append(i)
+    return [group[start:start + _SHARED_GRIDS] for group in groups.values()
+            for start in range(0, len(group), _SHARED_GRIDS)]
+
+
+def _per_block(n: int) -> int:
+    """Seeds per block of a row that draws n values: _BLOCK_VALUES draws, or one seed."""
+    return max(1, _BLOCK_VALUES // n)
+
+
+def _draw_blocks(entries: Sequence[TableRowSpec], passes: Sequence[Sequence[int]],
+                 streams: SeedStreams) -> Iterator[np.ndarray]:
+    """The samples of every entry for the seeds, by pass, then seed block,
+    then entry of the pass; each entry's grid is tabulated once."""
+    for indices in passes:
+        n = entries[indices[0]].n_rand
+        dists = [tabulate(entries[i].spec) for i in indices]
+        for start in range(0, len(streams), _per_block(n)):
+            yield from _draw_grids(dists, n, streams[start:start + _per_block(n)])
+        del dists  # the next pass's grids replace these, never join them
+
+
+def _read_order(entries: Sequence[TableRowSpec], passes: Sequence[Sequence[int]],
+                n_seeds: int) -> np.ndarray:
+    """For each cell, by entry, then seed, the place of its sample among
+    those _draw_blocks yields."""
+    order = np.empty(len(entries) * n_seeds, dtype=np.intp)
+    seed = np.arange(n_seeds)
+    read = 0  # samples yielded by the passes before
+    for indices in passes:
+        per_block = _per_block(entries[indices[0]].n_rand)
+        start = seed - seed % per_block  # the first seed of each seed's block
+        # the blocks before a seed's hold that many samples of each entry of
+        # the pass, and its own block's width of each entry before it
+        width = np.minimum(per_block, n_seeds - start)
+        for position, i in enumerate(indices):
+            order[i * n_seeds:(i + 1) * n_seeds] = (
+                read + len(indices) * start + position * width + seed - start)
+        read += len(indices) * n_seeds
+    return order
 
 
 def run_figure(example_id: int, seed: int) -> HillPlotSeries:

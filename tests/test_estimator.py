@@ -792,6 +792,24 @@ class TestFullWindowEstimates:
         assert hill == pytest.approx(1 + k / span, rel=NEAR_TIE_REL)
         assert direct == pytest.approx(1 + ROOT_DELTA[k] / span, rel=NEAR_TIE_REL)
 
+    def test_order_returns_and_names_samples_in_the_callers_order(self, monkeypatch):
+        # read order GOOD, TIED, NO_ROOT; asked for in the order NO_ROOT,
+        # GOOD, TIED, so NO_ROOT is the first bad sample and is named 1
+        monkeypatch.setattr(estimator, "_BRACKET_LIMIT", 5.0)
+        rows = [self.GOOD, self.TIED, self.NO_ROOT]
+        order = np.array([2, 0, 1])
+        with pytest.raises(SolverFailureError, match=r"^sample 1 of 3: no root"):
+            full_window_estimates([np.array(rows[:2]), np.array(rows[2:])],
+                                  ITER5_MAX_ITERATIONS, order=order)
+        good = [self.GOOD, self.GOOD[1:] + [2.9], self.GOOD[:-1]]
+        read = full_window_estimates([np.array(good[:2]), np.array(good[2:])],
+                                     ITER5_MAX_ITERATIONS)
+        permuted = full_window_estimates([np.array(good[:2]), np.array(good[2:])],
+                                         ITER5_MAX_ITERATIONS, order=order)
+        assert all(np.array_equal(p, r[order]) for p, r in zip(permuted, read))
+        with pytest.raises(ValueError, match="order has 2 entries for 3 samples"):
+            full_window_estimates([np.array(good[:2]), np.array(good[2:])], order=np.array([0, 1]))
+
     def test_non_positive_hill_excess_is_degenerate(self):
         # rejected as hill_estimate rejects it, before the iteration fails:
         # tied values leave an excess of exactly 0

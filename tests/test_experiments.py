@@ -179,6 +179,49 @@ class TestRunFullTable:
             assert str(blocked.value).startswith("table row 14, seed %d: " % seed)
 
 
+    def test_shared_draw_passes_across_block_boundaries(self, monkeypatch):
+        # a block of 2,500 draws holds 2 seeds of a 1000-draw row and 1 of a
+        # 5000-draw row, so each pass (rows 13, 1, 2 and rows 3, 11) spans
+        # several seed blocks
+        monkeypatch.setattr(experiments, "_BLOCK_VALUES", 2500)
+        rows, seeds = [13, 3, 1, 11, 2], range(1, 8)
+        table = run_full_table(seeds, rows)
+        assert list(zip(table["row"], table["seed"])) == [
+            (row, seed) for row in rows for seed in seeds]
+        for res in _cells(table):
+            entry = TABLE_ROWS[res["row"]]
+            sample = draw(tabulate(entry.spec), entry.n_rand, res["seed"])
+            window = full_window(sample)
+            assert (res["L"], res["R"]) == (sample.values[-1], sample.values[0])
+            assert res["sigma"] == sigma_statistic(sample)
+            assert res["mu_hill"] == hill_estimate(sample, len(sample)).mu
+            assert res["mu_iter5"] == solve_iterative(sample, window, ITER5_MAX_ITERATIONS).mu
+            assert res["mu_direct"] == improved_estimate(sample, window).mu
+
+    def test_first_failure_by_row_then_seed_across_passes(self, monkeypatch):
+        # rows 16 and 14 draw 2 values and share a pass, read before row 15's
+        # 3 draws; with one seed a block, the draws are read in the order
+        # (16, 6), (14, 6), (16, 4), (14, 4), ...  On a domain one float wide
+        # 14 fails at seeds 4 and 5 and 15 at 4, 5 and 7, neither at 6, so the
+        # first failure read is (14, 4), the 4th cell by row, then seed, is
+        # (15, 6), and the first failure by row, then seed, is (15, 4)
+        narrow = DistributionSpec.of("power", 3.0, math.nextafter(3.0, 4.0), mu=5.0)
+        wide = DistributionSpec.of("power", 3.0, 150.0, mu=5.0)
+        monkeypatch.setitem(TABLE_ROWS, 14, TableRowSpec(14, narrow, 2, 5.0))
+        monkeypatch.setitem(TABLE_ROWS, 15, TableRowSpec(15, narrow, 3, 5.0))
+        monkeypatch.setitem(TABLE_ROWS, 16, TableRowSpec(16, wide, 2, 5.0))
+        monkeypatch.setattr(experiments, "_BLOCK_VALUES", 3)
+        sample = draw(tabulate(narrow), 3, 4)
+        with pytest.raises(EstimationError) as scalar:
+            hill_estimate(sample, 3)
+            solve_iterative(sample, full_window(sample), ITER5_MAX_ITERATIONS)
+            improved_estimate(sample, full_window(sample))
+        with pytest.raises(EstimationError) as blocked:
+            run_full_table([6, 4, 5], [16, 15, 14])
+        assert type(blocked.value) is type(scalar.value)
+        assert str(blocked.value).startswith("table row 15, seed 4: ")
+
+
 class TestSummaries:
     def test_summary_shape(self):
         summary = summarize_table(run_full_table([1, 2, 3]))
