@@ -549,11 +549,13 @@ def full_window_estimates(blocks: Iterable[np.ndarray], max_iterations: int = _M
             column.append(part.copy())  # a view would keep the whole block alive
     if not columns[0]:
         raise DegenerateSampleError("need at least one block of samples")
-    low, high, span, excess, mean = map(np.concatenate, columns)
-    if order is not None:
-        if order.shape != low.shape:
-            raise ValueError("order has %d entries for %d samples" % (order.size, low.size))
-        low, high, span, excess, mean = (c[order] for c in (low, high, span, excess, mean))
+    samples = sum(map(len, columns[0]))
+    if order is not None and order.shape != (samples,):
+        raise ValueError("order has %d entries for %d samples" % (order.size, samples))
+    # each column reordered as it is joined, and the parts dropped before the solves
+    index = slice(None) if order is None else order
+    low, high, span, excess, mean = (np.concatenate(parts)[index] for parts in columns)
+    del columns
     with np.errstate(divide="ignore", invalid="ignore"):
         y = excess / span
         mu_hill = 1.0 / excess + 1.0

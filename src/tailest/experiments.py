@@ -243,9 +243,9 @@ def _draw_blocks(entries: Sequence[TableRowSpec], passes: Sequence[Sequence[int]
     then entry of the pass; each entry's grid is tabulated once."""
     for indices in passes:
         n = entries[indices[0]].n_rand
-        dists = [tabulate(entries[i].spec) for i in indices]
-        for start in range(0, len(streams), _per_block(n)):
-            yield from _draw_grids(dists, n, streams[start:start + _per_block(n)])
+        dists, per_block = [tabulate(entries[i].spec) for i in indices], _per_block(n)
+        for start in range(0, len(streams), per_block):
+            yield from _draw_grids(dists, n, streams[start:start + per_block])
         del dists  # the next pass's grids replace these, never join them
 
 
