@@ -190,14 +190,15 @@ def run_full_table(seeds: Sequence[int],
     up to 2^14 uniforms once, then maps it through every grid of the pass,
     which gives every seed the sample ``draw`` would, bit for bit.  At
     most three grids are alive at once; on all 13 rows this took ``table
-    --seeds 1-2000`` from 2.6-3.2 to 1.9-2.4 s for 1.6 MB more peak memory
-    (2-core Xeon).  :func:`full_window_estimates` reduces each block as it
-    is drawn, puts the cells back in order by row, then seed, and then
-    solves every cell of the table at once.  No cell depends on the cells
-    beside it: those six columns are bit-identical to the one-sample
-    estimators, whose roots the same Newton loop solves.  A cell those
-    estimators reject raises their EstimationError subclass, for the first
-    such cell by row, then seed, naming it as "table row R, seed S".
+    --seeds 1-2000`` from 2.24 to 1.88 s (medians of 10 fresh processes
+    each, 2-core Xeon) for 0.5 MB more peak memory.
+    :func:`full_window_estimates` reduces each block as it is drawn, puts
+    the cells back in order by row, then seed, and then solves every cell
+    of the table at once.  No cell depends on the cells beside it: those
+    six columns are bit-identical to the one-sample estimators, whose roots
+    the same Newton loop solves.  A cell those estimators reject raises
+    their EstimationError subclass, for the first such cell by row, then
+    seed, naming it as "table row R, seed S".
     Unknown row ids raise TableRowError before any work is done.
     """
     if not seeds:
