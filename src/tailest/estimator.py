@@ -199,7 +199,7 @@ class HillPlotSeries:
 # Window logs
 
 
-def _window_logs(values: np.ndarray, logs: np.ndarray,
+def _window_logs(values: np.ndarray, logs: np.ndarray | None = None,
                  running: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """ln(X_r/X_l) and the excess mean_log - ln X_l of windows whose largest
     value X_r is the first of a row: the whole row, or with ``running`` every
@@ -209,20 +209,35 @@ def _window_logs(values: np.ndarray, logs: np.ndarray,
     narrow and at any scale.  Within a factor 2 of X_r the difference X_r -
     X_j is exact, and log1p of it over X_j keeps ln(X_r/X_j) accurate
     relative to itself as it nears 0; beyond that it is ln X_r - ln X_j,
-    with the absolute error of the two logs.  A whole row is summed
+    with the absolute error of the two logs.  ``logs`` are np.log(values),
+    if the caller has them; without them only the logs those differences
+    read are taken, element for element the same.  A whole row is summed
     pairwise, by the same ufuncs for one window and for each C-contiguous
     row of a block, so both give the same bits; running windows take one
     cumulative sum.  Tied values give a span and an excess of exactly 0.
     """
     top = values[..., :1]
-    shift = logs[..., :1] - logs
     near = values > 0.5 * top
     # rows descend, so the values within a factor 2 of X_r lead each row
     m = np.count_nonzero(np.atleast_2d(near).any(axis=0))
+    near = near[..., :m]
+    whole = near.all()  # no far value in the first m columns
+    if logs is not None:
+        shift = logs[..., :1] - logs
+    else:
+        shift = np.empty(values.shape)
+        if m < values.shape[-1] or not whole:
+            top_log = np.log(top)
+            np.subtract(top_log, np.log(values[..., m:]), out=shift[..., m:])
+            if not whole:
+                far, prefix = ~near, shift[..., :m]
+                np.log(values[..., :m], out=prefix, where=far)
+                np.subtract(top_log, prefix, out=prefix, where=far)
     ratio = top - values[..., :m]
     with np.errstate(over="ignore"):  # the ratios of far values, which log1p skips
         ratio /= values[..., :m]
-    np.log1p(ratio, out=shift[..., :m], where=near[..., :m])
+    # unmasked where it can be: the same bits, in less time
+    np.log1p(ratio, out=shift[..., :m], where=True if whole else near)
     if running:
         span = shift[1:]
         return span, span - np.cumsum(shift)[1:] / np.arange(2, shift.size + 1)
@@ -542,9 +557,9 @@ def full_window_estimates(blocks: Iterable[np.ndarray], max_iterations: int = _M
         # differs in the last bit for strided input
         values = np.ascontiguousarray(values)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.log(values)
-            span, excess = _window_logs(values, logs)
-            parts = (values[:, -1], values[:, 0], span, excess, logs[:, -1] + excess)
+            span, excess = _window_logs(values)
+            parts = (values[:, -1], values[:, 0], span, excess,
+                     np.log(values[:, -1]) + excess)
         for column, part in zip(columns, parts):
             column.append(part.copy())  # a view would keep the whole block alive
     if not columns[0]:

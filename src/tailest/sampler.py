@@ -281,11 +281,14 @@ def _draw_grids(dists: Sequence[GridDistribution], n: int,
                 seeds: Sequence[int] | SeedStreams) -> Iterator[np.ndarray]:
     """``draw_block(dist, n, seeds)`` for each grid of dists in turn.
 
-    The seeds' uniforms are filled and sorted once and mapped through each
-    grid: a draw depends only on its uniform and its grid, so every block
-    is bit-identical to one drawn alone.  The sorted uniforms stay alive
-    until the last block is mapped, one block-sized array more than a
-    single grid needs.
+    The seeds' uniforms are filled, sorted and range-checked once, turned
+    into one descending copy, which replaces the ascending array, and
+    mapped through each grid: a draw depends only on its uniform and its
+    grid, so every block is bit-identical to one drawn alone, and mapped
+    from descending uniforms its rows come out descending.  Grids of one
+    guide size share the uniforms' bucket index (see :func:`_map_sorted`).
+    The uniforms, and a shared bucket index, stay alive until the last
+    block is mapped.
     """
     if n < 2:
         raise ValueError("need n >= 2 draws, got %d" % n)
@@ -293,50 +296,95 @@ def _draw_grids(dists: Sequence[GridDistribution], n: int,
     u = np.empty((len(streams), n))
     streams.fill(u)
     u.sort(axis=-1)
-    for dist in dists:
-        yield _descending_rows(_map_sorted(dist, u))
+    drawn = _in_unit_interval(u)
+    u = u[:, ::-1].copy()
+    sizes = [dist.guide.size for dist in dists]
+    shared = {size: _buckets(u, size) for size in set(sizes)
+              if drawn and sizes.count(size) > 1}
+    for dist, size in zip(dists, sizes):
+        yield _descending_rows(_map_sorted(dist, u, shared.get(size)) if drawn
+                               else np.interp(u, dist.cdf, dist.xs))
 
 
 def _descending_rows(values: np.ndarray) -> np.ndarray:
-    """The rows of values in descending order, as a new C-contiguous array.
+    """values, with each row that is not in descending order sorted into it
+    in place.
 
-    Mapped from sorted uniforms, a row is ascending unless rounding at a
+    Mapped from descending uniforms, a row descends unless rounding at a
     cell boundary inverted a pair, which none of the 3,900 rows of the 13
     table scenarios over seeds 1-300 does; so only rows that fail the order
-    check (NaN included) are sorted, in place.
+    check (NaN included) are sorted, each as its reverse, so that values
+    that compare equal keep the order an ascending map gives them.
     """
-    unsorted = np.flatnonzero(~(values[:, 1:] >= values[:, :-1]).all(axis=1))
+    # descends[i, k]: values[i, k + 1] <= values[i, k], compared over the
+    # flat array, whose one pass is cheaper than a pass over two 2-D views
+    descends = np.empty(values.shape, dtype=bool)
+    flat = values.reshape(-1)
+    np.less_equal(flat[1:], flat[:-1], out=descends.reshape(-1)[:-1])
+    descends[:, -1] = True  # the last value of a row against the next row's first
+    unsorted = np.flatnonzero(~descends.all(axis=1))
     if unsorted.size:
-        values[unsorted] = np.sort(values[unsorted], axis=1)
-    return values[:, ::-1].copy()
+        values[unsorted] = np.sort(values[unsorted, ::-1], axis=1)[:, ::-1]
+    return values
 
 
 def _inverse_cdf(dist: GridDistribution, u: np.ndarray) -> np.ndarray:
     """``np.interp(u, dist.cdf, dist.xs)`` bit for bit, after sorting u in
     place along its last axis (see the module docstring)."""
     u.sort(axis=-1)
-    return _map_sorted(dist, u)
+    return _map_sorted(dist, u) if _in_unit_interval(u) else np.interp(u, dist.cdf, dist.xs)
 
 
-def _map_sorted(dist: GridDistribution, u: np.ndarray) -> np.ndarray:
-    """``np.interp(u, dist.cdf, dist.xs)`` bit for bit, for u sorted along
-    its last axis; u is not changed."""
-    cdf, xs = dist.cdf, dist.xs
-    if u.size and not (0.0 <= u[..., 0].min() and u[..., -1].max() < 1.0):
-        return np.interp(u, cdf, xs)  # never drawn: outside [0, 1) or NaN
+def _in_unit_interval(u: np.ndarray) -> bool:
+    """Whether all of u, sorted along its last axis, lies in [0, 1), as drawn
+    uniforms do; NaN does not, and goes to np.interp with the rest."""
+    return not u.size or bool(0.0 <= u[..., 0].min() and u[..., -1].max() < 1.0)
+
+
+def _buckets(u: np.ndarray, size: int) -> np.ndarray:
+    """The guide-table bucket of each uniform in [0, 1), for size buckets."""
+    return (u * size).astype(np.intp)
+
+
+def _map_sorted(dist: GridDistribution, u: np.ndarray,
+                buckets: np.ndarray | None = None) -> np.ndarray:
+    """``np.interp(u, dist.cdf, dist.xs)`` bit for bit, for u in [0, 1),
+    sorted either way along its last axis; u is not changed.
+
+    ``buckets`` is ``_buckets(u, dist.guide.size)`` if the caller has it.
+    Each value is numpy's formula on its cell, (u - cdf[j]) * slope[j] +
+    xs[j].  np.interp returns the node instead where u == cdf[j], and
+    handles a non-finite result in its own way; with a finite slope the
+    formula gives the node too, unless the node is -0.0, and an infinite
+    or NaN slope gives a non-finite value.  So with no node whose sign bit
+    is set only the non-finite values go to np.interp, and one finiteness
+    test finds none in the common case.
+    """
+    cdf, xs, above = dist.cdf, dist.xs, dist.cdf[1:]
     flat = u.reshape(-1)
     # j: the last node with cdf[j] <= u, where u's cell starts
-    j = dist.guide[(flat * dist.guide.size).astype(np.intp)].astype(np.intp)
-    j += cdf.take(j + 1) <= flat
-    short = np.flatnonzero(cdf.take(j + 1) <= flat)
+    if buckets is None:
+        buckets = _buckets(flat, dist.guide.size)
+    j = dist.guide.take(buckets.reshape(-1)).astype(np.intp)
+    del buckets  # freed here when the map made it, before the values are
+    # every j indexes cdf[1:], so "clip" clips nothing; it lets take write
+    # into out directly, where "raise" takes a copy first
+    term = above.take(j, mode="clip")
+    j += term <= flat
+    short = np.flatnonzero(above.take(j, out=term, mode="clip") <= flat)
     if short.size:
         j[short] = np.searchsorted(cdf, flat[short], side="right") - 1
-    at = cdf.take(j)
+    values = flat - cdf.take(j, out=term, mode="clip")
     with np.errstate(over="ignore", invalid="ignore"):
-        values = flat - at  # times slope[j], plus xs[j]: np.interp's formula
-        values *= dist.slope.take(j)
-        values += xs.take(j)
-    special = np.flatnonzero((flat == at) | ~np.isfinite(values))
+        values *= dist.slope.take(j, out=term, mode="clip")
+        values += xs.take(j, out=term, mode="clip")
+    del term
+    if np.signbit(xs).any():  # np.interp keeps a -0.0 node, which the formula makes 0.0
+        special = np.flatnonzero((flat == cdf.take(j)) | ~np.isfinite(values))
+    elif np.isfinite(values).all():
+        return values.reshape(u.shape)
+    else:
+        special = np.flatnonzero(~np.isfinite(values))
     if special.size:
         values[special] = np.interp(flat[special], cdf, xs)
     return values.reshape(u.shape)
