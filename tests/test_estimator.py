@@ -738,6 +738,27 @@ class TestFullWindowEstimates:
             assert columns[4][i] == iterated
             assert columns[5][i] == direct
 
+    @pytest.mark.parametrize("rows, all_near", [
+        # every value within a factor 2 of its top: log1p over whole rows
+        ([(2, 1), (7, 1), (11, 1), (12, 1), (2, 2), (7, 2), (11, 2), (12, 2)], True),
+        # near prefixes of different lengths: row 2 is near its top
+        # throughout, so the far entries of the others lie inside the prefix
+        # and take log differences there
+        ([(2, 1), (1, 1), (None, 1), (2, 2), (1, 2), (None, 2)], False),
+    ], ids=["all_near", "mixed_prefixes"])
+    def test_blocks_match_one_sample_path_by_nearness(self, rows, all_near):
+        # row None is a log-uniform sample, whose values lie decades apart
+        n = 1000
+        block = np.array([_log_uniform(n, seed).values if row is None
+                          else draw(tabulate(TABLE_ROWS[row].spec), n, seed).values
+                          for row, seed in rows])
+        assert (block > 0.5 * block[:, :1]).all() == all_near
+        assert (block[0] > 0.5 * block[0, 0]).all()  # the prefix is the whole row
+        columns = full_window_estimates([block], ITER5_MAX_ITERATIONS)
+        for i, row in enumerate(block):
+            assert [column[i] for column in columns[2:]] == list(_one_sample_estimates(
+                row, {"max_iterations": ITER5_MAX_ITERATIONS}))
+
     def test_each_sample_on_its_own(self):
         # 333 values: rows start at every offset within a SIMD register
         rows = np.array([draw(tabulate(TABLE_ROWS[row].spec), 333, seed).values

@@ -11,6 +11,7 @@ from tailest.sampler import (
     DistributionSpecError,
     SeedStreams,
     _descending_rows,
+    _draw_grids,
     _grid,
     _inverse_cdf,
     draw,
@@ -331,6 +332,37 @@ class TestDrawBlock:
             u = np.random.default_rng(seed).random(n)
             assert np.array_equal(row, np.sort(np.interp(u, dist.cdf, dist.xs))[::-1])
         assert np.array_equal(draw_block(dist, n, SeedStreams([0] + seeds)[1:]), block)
+
+    def test_shared_uniforms_through_grids_of_every_size(self, monkeypatch):
+        # one fill and sort of the uniforms, mapped through guides of 2^17,
+        # 2^10 and 2^14 buckets; the last two grids share a guide size, and
+        # the last has slopes that overflow
+        dists = [tabulate(spec) for spec in (
+            DistributionSpec.of("power", 3.0, 150.0, grid_points=100000, mu=5.0),
+            DistributionSpec.of("sqrt_inv", 3.0, 15000.0, grid_points=1000),
+            DistributionSpec.of("power", 1.0, 1e4, grid_points=10000, mu=60.0),
+            FLAT_GRIDS[-1])]
+        searched = []
+
+        def counting(a, v, **kwargs):
+            searched.append(len(v))
+            return real(a, v, **kwargs)
+
+        real = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", counting)
+        seeds, n = [3, 1, 4], 5000
+        blocks = list(_draw_grids(dists, n, seeds))
+        assert len(blocks) == len(dists)
+        for dist, block in zip(dists, blocks):
+            assert block.shape == (len(seeds), n) and block.flags.c_contiguous
+            for row, seed in zip(block, seeds):
+                u = np.random.default_rng(seed).random(n)
+                expected = np.sort(np.interp(u, dist.cdf, dist.xs))[::-1]
+                assert np.array_equal(row, expected)
+                assert np.array_equal(np.signbit(row), np.signbit(expected))
+        # a bucket index of another guide size indexes past a smaller guide,
+        # or sends most uniforms of a larger one to the binary search
+        assert sum(searched) <= 0.05 * len(dists) * len(seeds) * n
 
     def test_tail_sorts_a_row_out_of_order(self):
         rows = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], [1.0, 1.5, 1.5, 2.0]])
