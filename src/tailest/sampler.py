@@ -14,8 +14,13 @@ interpolation inside the bracketing grid cell, exactly as
 Randomness comes from numpy's PCG64, seeded only in ``SeedStreams``,
 which restores the state ``PCG64(seed)`` starts in; so seed s draws the
 uniforms of numpy's default generator for s.  The generator identity is
-part of the package contract: the same (distribution, n, seed) triple
-yields bit-identical samples on every platform and release.
+part of the package contract: the same seed gives the same uniforms on
+every platform and release.  The samples are ``np.interp`` of them, bit for
+bit, on a grid whose density numpy's own ufuncs evaluate; numpy picks those
+loops by CPU, and on x86-64 its AVX-512 ``np.power`` differs in the last bit
+from the loop a CPU without AVX-512 gets, so the grids and draws of some
+densities (power_growth and pade14 among the built-ins) differ in the last
+bit between the two.
 
 Each uniform's grid cell is found by indexed search (a "guide table",
 Chen & Asau 1974; Devroye 1986, section III.2.4): the grid keeps, for each
@@ -23,16 +28,20 @@ of M = 2^k >= grid_points equal buckets of [0, 1), the last node at or
 below the bucket's start, so a uniform starts at its bucket's node and is
 at most one step from its cell in nearly every case; the few that are not
 take a binary search.  The value is then numpy's own interpolation formula
-on that cell, and every uniform on which ``np.interp`` would take a special
-branch (one on a node, or a non-finite result) is handed to ``np.interp``,
-so every draw is bit-identical to it.  The uniforms are sorted first: each
-draw depends on its own uniform alone and a sample is a multiset
-(OrderedSample sorts it), so their order cannot change a sample, and
-sorted they read the grid front to back.  Seed s gives the same uniforms to
-every grid that draws the same n, so the table runner fills and sorts each
-block of seeds once per n and maps it through up to three rows' grids
-(``_draw_grids``), which took its time over 100 seeds from 0.085 to about
-0.066 s on a 2-core Xeon.
+on that cell, and every uniform for which ``np.interp`` would return
+another value (a non-finite result, or a node of -0.0) is handed to
+``np.interp``, so every draw is bit-identical to it.  The uniforms are
+sorted first, and mapped in descending order: each draw depends on its own
+uniform alone and a sample is a multiset (OrderedSample sorts it), so their
+order cannot change a sample; sorted they read the grid in order, and
+descending they give the rows in the order OrderedSample holds them.  Seed
+s gives the same uniforms to every grid that draws the same n, so the table
+runner fills and sorts each block of seeds once per n and maps it through
+up to three rows' grids (``_draw_grids``), which took its time over 100
+seeds from 0.085 to about 0.066 s on a 2-core Xeon; mapping in descending
+order with fewer passes, and reducing with fewer logs, took it from 0.087
+to 0.073 s (medians of 10 alternating processes, the same machine more
+loaded).
 """
 
 from __future__ import annotations

@@ -25,10 +25,11 @@ E = math.e
 # numpy picks its float64 loops by CPU, and on x86-64 some of the AVX-512
 # ones (log1p and power among them) differ in the last bit from those a CPU
 # without AVX-512 gets, which NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
-# AVX512_SPR" selects here.  That moves the draws of some densities and the
-# values derived from logs, so a byte pin records one value per path, each
-# from the same commit.  The sha256 of these ufuncs' bits at fixed inputs
-# names the path in use; on another path the pinned tests fail.
+# AVX512_SPR" selects on a CPU with AVX-512.  That moves the draws of some
+# densities and the values derived from logs, so a byte pin records one
+# value per path, each from the same commit.  The sha256 of these ufuncs'
+# bits at fixed inputs names the path in use; on any other path the pinned
+# tests fail.
 SIMD_PATHS = {
     "75fca184207ba02568db9aa20352e3255cf113e0935d5a065ca59e7f127a15b3": "avx512",
     "6e55c9022aad8064979ef3568456c25a68cc4f41ee656a2aac0de40c64e8b76f": "avx2",
